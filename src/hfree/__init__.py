@@ -12,7 +12,6 @@ from .process import (
     ProcessTerminated,
     RunResult,
     StepOutcome,
-    new_process,
     pair_index,
     pair_of,
 )
@@ -25,7 +24,6 @@ from .ledger import (
     expected_partial_gain,
     expected_partial_loss,
     expected_q_drop,
-    init_ledger,
     oracle_counts_matrix,
     recompute_oracle,
     sampled_counts,

@@ -1,7 +1,9 @@
 """Command line front end.
 
 Subcommands:
-  run        execute an experiment from a config file, persist records
+  run        execute an experiment from a config file, persist records;
+             with --edge-logs also each trial's edge log and graph6 line,
+             taken from the trial itself
   plot-data  turn a records file into plot-ready CSVs
   verify     replay a records file and check determinism + invariants
   bounds     print tail bounds for given martingale parameters
@@ -10,15 +12,11 @@ Subcommands:
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 
-import numpy as np
-
-from . import graphio, harness
+from . import harness
 from .concentration import MartingaleSpec, submartingale_tail, supermartingale_tail
-from .process import ProcessState
 
 
 def _add_run(sub):
@@ -58,9 +56,7 @@ def cmd_run(args) -> int:
     overrides = {"base_seed": args.seed, "workers": args.workers,
                  "trials": args.trials}
     cfg = harness.load_config(args.config, overrides)
-    records = harness.run_experiment(cfg, args.out)
-    if args.edge_logs:
-        _write_edge_logs(cfg, records, args.out)
+    records = harness.run_experiment(cfg, args.out, edge_logs=args.edge_logs)
     done = sum(1 for r in records if r["completed"])
     print("wrote %d records to %s (%d ran to completion)"
           % (len(records), os.path.join(args.out, "records.jsonl"), done))
@@ -70,37 +66,6 @@ def cmd_run(args) -> int:
               % (rec["run_id"], rec["seed"], rec["steps"], end["t"],
                  end["Q"], rec["violations_total"]))
     return 0
-
-
-def _write_edge_logs(cfg, records, out_dir):
-    """Replay each record's seed to rebuild the edge sequence."""
-    logs_dir = os.path.join(out_dir, "edges")
-    os.makedirs(logs_dir, exist_ok=True)
-    graphs = []
-    for rec in records:
-        state = _replay(cfg, rec)
-        graphio.write_edge_log(os.path.join(logs_dir, rec["run_id"] + ".edges"),
-                               rec["n"], cfg.rule, rec["seed"], state.edge_log)
-        graphs.append((rec["n"], state.edge_log))
-    graphio.write_graph6(os.path.join(out_dir, "final_graphs.g6"), graphs)
-
-
-def _replay(cfg, rec) -> ProcessState:
-    rng = np.random.default_rng(rec["seed"])
-    state = ProcessState(rec["n"], cfg.rule)
-    if cfg.rule == harness.K3:
-        mode = harness.resolve_ledger_mode(cfg, rec["n"])
-        if mode == harness.ledger_mod.SAMPLED:
-            k = min(cfg.witness_pairs, state.npairs)
-            rng.choice(state.npairs, size=k, replace=False)
-    else:
-        verts = np.arange(rec["n"])
-        for _ in range(cfg.k4_witness_pairs):
-            rng.choice(verts, size=2, replace=False)
-        for _ in range(cfg.k4_witness_triples):
-            rng.choice(verts, size=3, replace=False)
-    state.run(rng, stop=rec["steps"])
-    return state
 
 
 def cmd_plot_data(args) -> int:
@@ -124,7 +89,7 @@ def cmd_verify(args) -> int:
         records = records[: args.max_trials]
     failures = 0
     for idx, rec in enumerate(records):
-        fresh = harness.run_trial(cfg, rec["n"], rec["trial"], _global_index(cfg, rec))
+        fresh, _ = harness.run_trial(cfg, rec["n"], rec["trial"], _global_index(cfg, rec))
         if fresh == rec:
             print("PASS %s reproduces exactly" % rec["run_id"])
         else:

@@ -18,7 +18,7 @@ import time
 
 import numpy as np
 
-from . import analysis, k4stats, ledger as ledger_mod, trajectory
+from . import analysis, graphio, k4stats, ledger as ledger_mod, trajectory
 from .process import EDGE, K3, K4, ProcessState, pair_index, pair_of
 
 MASK64 = (1 << 64) - 1
@@ -65,8 +65,14 @@ class ExperimentConfig:
         self.n_list = tuple(int(n) for n in self.n_list)
         if not self.n_list:
             raise ValueError("n_list must be nonempty")
+        if len(set(self.n_list)) != len(self.n_list):
+            raise ValueError("n_list repeats an n: %s" % (self.n_list,))
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
+        stride = self.snapshot_stride
+        if stride != "auto" and not (isinstance(stride, int) and stride >= 1):
+            raise ValueError("snapshot_stride must be 'auto' or an int >= 1, got %r"
+                             % (stride,))
         for name in ("mu", "beta", "gamma", "rho"):
             if getattr(self, name) <= 0:
                 raise ValueError("%s must be positive" % name)
@@ -239,8 +245,9 @@ def _k4_snapshot(state, pairs, triples, n):
     }
 
 
-def run_trial(cfg: ExperimentConfig, n: int, trial: int, global_index: int) -> dict:
-    """One deterministic trial.  The record is a plain JSON-serializable dict."""
+def run_trial(cfg: ExperimentConfig, n: int, trial: int, global_index: int):
+    """One deterministic trial: (record, edge_log).  The record is a plain
+    JSON-serializable dict; edge_log is the trial's edges in the order added."""
     seed = trial_seed(cfg.base_seed, global_index)
     rng = np.random.default_rng(seed)
     rule = cfg.rule
@@ -312,18 +319,25 @@ def run_trial(cfg: ExperimentConfig, n: int, trial: int, global_index: int) -> d
         "max_degree": delta,
         "violations_total": int(sum(s["violations"] for s in snapshots)),
     }
-    return record
+    return record, state.edge_log
+
+
+def _timed_trial(cfg, n, trial, gidx):
+    t0 = time.perf_counter()
+    rec, edge_log = run_trial(cfg, n, trial, gidx)
+    return rec, edge_log, time.perf_counter() - t0
 
 
 def _trial_job(args):
     cfg_dict, n, trial, gidx = args
-    cfg = ExperimentConfig(**cfg_dict)
-    return run_trial(cfg, n, trial, gidx)
+    return _timed_trial(ExperimentConfig(**cfg_dict), n, trial, gidx)
 
 
-def run_experiment(cfg: ExperimentConfig, out_dir=None):
+def run_experiment(cfg: ExperimentConfig, out_dir=None, edge_logs=False):
     """All trials over cfg.n_list; records persisted incrementally when
-    out_dir is given (records.jsonl + timings.txt sidecar)."""
+    out_dir is given (records.jsonl + timings.txt sidecar).  With edge_logs
+    each trial's edges also go to edges/<run_id>.edges and its final graph
+    to final_graphs.g6, one line per trial."""
     jobs = []
     gidx = 0
     for n in cfg.n_list:
@@ -333,42 +347,47 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None):
         for trial in range(cfg.trials):
             jobs.append((n, trial, gidx))
             gidx += 1
-    fh = None
-    timing_fh = None
+    fh = timing_fh = g6_fh = None
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
         fh = open(os.path.join(out_dir, "records.jsonl"), "w", encoding="utf-8")
         fh.write(json.dumps({"config": cfg.to_dict()}, sort_keys=True) + "\n")
         fh.flush()
         timing_fh = open(os.path.join(out_dir, "timings.txt"), "w", encoding="utf-8")
+        if edge_logs:
+            logs_dir = os.path.join(out_dir, "edges")
+            os.makedirs(logs_dir, exist_ok=True)
+            g6_fh = open(os.path.join(out_dir, "final_graphs.g6"), "w", encoding="utf-8")
     records = []
 
-    def emit(rec, elapsed):
+    def emit(rec, edge_log, elapsed):
         records.append(rec)
         if fh is not None:
             fh.write(json.dumps(rec, sort_keys=True) + "\n")
             fh.flush()
             timing_fh.write("%s %.3fs\n" % (rec["run_id"], elapsed))
             timing_fh.flush()
+        if g6_fh is not None:
+            graphio.write_edge_log(os.path.join(logs_dir, rec["run_id"] + ".edges"),
+                                   rec["n"], cfg.rule, rec["seed"], edge_log)
+            g6_fh.write(graphio.graph6_line(rec["n"], edge_log) + "\n")
+            g6_fh.flush()
 
     try:
         if cfg.workers <= 1:
             for n, trial, g in jobs:
-                t0 = time.perf_counter()
-                rec = run_trial(cfg, n, trial, g)
-                emit(rec, time.perf_counter() - t0)
+                emit(*_timed_trial(cfg, n, trial, g))
         else:
             cfg_dict = cfg.to_dict()
             with concurrent.futures.ProcessPoolExecutor(cfg.workers) as pool:
                 futs = [pool.submit(_trial_job, (cfg_dict, n, trial, g))
                         for n, trial, g in jobs]
                 for fut in futs:  # completion order (n, trial): submission order
-                    t0 = time.perf_counter()
-                    emit(fut.result(), time.perf_counter() - t0)
+                    emit(*fut.result())
     finally:
-        if fh is not None:
-            fh.close()
-            timing_fh.close()
+        for f in (fh, timing_fh, g6_fh):
+            if f is not None:
+                f.close()
     return records
 
 

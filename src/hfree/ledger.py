@@ -107,7 +107,7 @@ class PairLedger:
         edge_pid = pair_index(n, *outcome.edge)
         changed_ids = {edge_pid}
         changed_ids.update(int(i) for i in outcome.closed_ids)
-        changed_pairs = [outcome.edge] + outcome.pairs_closed
+        changed_pairs = [outcome.edge] + [pair_of(n, int(i)) for i in outcome.closed_ids]
         affected = set()
         for a, b in changed_pairs:
             for w in range(n):
@@ -156,10 +156,6 @@ class PairLedger:
         self.q = state.open_count
         self.applied = state.steps
         return nonedge
-
-
-def init_ledger(state: ProcessState, mode: str = FULL, witness_ids=None) -> PairLedger:
-    return PairLedger(state, mode, witness_ids)
 
 
 # -------------------------------------------------------------------- oracle

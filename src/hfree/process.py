@@ -57,17 +57,12 @@ def pair_of(n: int, idx: int):
 class StepOutcome:
     """One step's result: the chosen edge and the pairs it closed."""
 
-    __slots__ = ("edge", "closed_ids", "step", "n")
+    __slots__ = ("edge", "closed_ids", "step")
 
-    def __init__(self, edge, closed_ids, step, n):
+    def __init__(self, edge, closed_ids, step):
         self.edge = edge
         self.closed_ids = closed_ids  # np.ndarray of pair ids
         self.step = step              # step count after this step
-        self.n = n
-
-    @property
-    def pairs_closed(self):
-        return [pair_of(self.n, int(i)) for i in self.closed_ids]
 
 
 class RunResult:
@@ -257,7 +252,7 @@ class ProcessState:
                 self._remove_open(cid)
         self.steps += 1
         self.edge_log.append((u, v))
-        return StepOutcome((u, v), closed_ids, self.steps, self.n)
+        return StepOutcome((u, v), closed_ids, self.steps)
 
     def run(self, rng, stop: int | None = None) -> RunResult:
         """Run until no open pair remains (or a step cap, applied between
@@ -265,7 +260,3 @@ class ProcessState:
         while self.open_count and (stop is None or self.steps < stop):
             self.step(rng)
         return RunResult(self.steps, self, self.open_count == 0)
-
-
-def new_process(n: int, rule: int = K3) -> ProcessState:
-    return ProcessState(n, rule)

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from conftest import has_clique
 from hfree import cli, harness
 from hfree.harness import (
     ExperimentConfig,
@@ -56,6 +57,12 @@ def test_parse_config_overrides_and_errors():
         parse_config("process=K3\nn_list=\n")
     with pytest.raises(ValueError):
         parse_config("no equals sign here\n")
+    with pytest.raises(ValueError, match="snapshot_stride"):
+        parse_config("process=K3\nn_list=20\nsnapshot_stride=0\n")
+    with pytest.raises(ValueError, match="snapshot_stride"):
+        ExperimentConfig(n_list=(20,), snapshot_stride=-3)
+    with pytest.raises(ValueError, match="n_list"):
+        parse_config("process=K3\nn_list=20, 20\ntrials=2\n")
 
 
 def test_resolvers():
@@ -87,7 +94,7 @@ def test_ledger_mode_resolution():
 
 def test_run_trial_record_shape():
     cfg = ExperimentConfig(process="K3", n_list=(20,), trials=1, base_seed=9)
-    rec = run_trial(cfg, 20, 0, 0)
+    rec, _ = run_trial(cfg, 20, 0, 0)
     assert rec["run_id"] == "n20-t0"
     assert rec["completed"] and rec["M"] == rec["steps"]
     assert rec["rng"] == "numpy.PCG64"
@@ -103,7 +110,7 @@ def test_run_trial_record_shape():
 def test_run_trial_k4_record():
     cfg = ExperimentConfig(process="K4", n_list=(16,), trials=1, base_seed=3,
                            k4_witness_pairs=5, k4_witness_triples=5)
-    rec = run_trial(cfg, 16, 0, 0)
+    rec, _ = run_trial(cfg, 16, 0, 0)
     assert rec["completed"]
     snap = rec["snapshots"][0]
     assert len(snap["x_mean"]) == 5 and len(snap["y_mean"]) == 4
@@ -113,7 +120,7 @@ def test_run_trial_k4_record():
 
 def test_capped_run_has_no_m():
     cfg = ExperimentConfig(process="K3", n_list=(30,), trials=1, stop="steps:10")
-    rec = run_trial(cfg, 30, 0, 0)
+    rec, _ = run_trial(cfg, 30, 0, 0)
     assert rec["steps"] == 10 and not rec["completed"] and rec["M"] is None
 
 
@@ -181,14 +188,58 @@ def test_cli_seed_override(tmp_path):
 
 
 def test_edge_log_replay_matches_seed(tmp_path):
-    # the exported edge log must be reproducible from the recorded seed
+    # the exported edge log is the trial's own graph: reproducible from the
+    # recorded seed, consistent with the record and with final_graphs.g6
+    from hfree.graphio import graph6_line, parse_edge_log
+    for name, text in [("k3", "process=K3\nn_list=15\ntrials=1\nbase_seed=77\n"),
+                       ("k4", "process=K4\nn_list=14\ntrials=1\nbase_seed=5\n"
+                              "stop=t:0.3\nk4_witness_pairs=5\nk4_witness_triples=5\n")]:
+        cfg_path = tmp_path / (name + ".cfg")
+        cfg_path.write_text(text)
+        out = tmp_path / name
+        cli.main(["run", "--config", str(cfg_path), "--out", str(out), "--edge-logs"])
+        _, recs = load_records(out)
+        rec = recs[0]
+        n, rule, seed, edges = parse_edge_log(
+            (out / "edges" / (rec["run_id"] + ".edges")).read_text())
+        assert n == rec["n"] and int(seed) == rec["seed"]
+        assert len(edges) == rec["steps"]
+        assert (out / "final_graphs.g6").read_text() == graph6_line(n, edges) + "\n"
+        adj = [set() for _ in range(n)]
+        for u, v in edges:
+            adj[u].add(v)
+            adj[v].add(u)
+        assert not has_clique(adj, range(n), rule)
+        if rule == 3:
+            assert rec["completed"] and len(edges) == rec["M"]
+            assert max(len(a) for a in adj) == rec["max_degree"]
+            # maximal: every non-edge has a common neighbour
+            assert all(v in adj[u] or adj[u] & adj[v]
+                       for u in range(n) for v in range(u + 1, n))
+        else:
+            assert not rec["completed"] and rec["steps"] == round(0.3 * n ** 1.6)
+
+
+def test_workers_match_serial(tmp_path):
     cfg_path = tmp_path / "exp.cfg"
-    cfg_path.write_text("process=K3\nn_list=15\ntrials=1\nbase_seed=77\n")
-    out = tmp_path / "out"
-    cli.main(["run", "--config", str(cfg_path), "--out", str(out), "--edge-logs"])
-    _, recs = load_records(out)
-    from hfree.graphio import parse_edge_log
-    n, rule, seed, edges = parse_edge_log(
-        (out / "edges" / "n15-t0.edges").read_text())
-    assert int(seed) == recs[0]["seed"]
-    assert len(edges) == recs[0]["M"]
+    cfg_path.write_text("process=K3\nn_list=16\ntrials=2\nbase_seed=3\n")
+    outs = []
+    for workers in ("1", "2"):
+        out = tmp_path / ("w" + workers)
+        cli.main(["run", "--config", str(cfg_path), "--out", str(out),
+                  "--edge-logs", "--workers", workers])
+        outs.append(out)
+    a, b = outs
+    ra = (a / "records.jsonl").read_text().splitlines()
+    rb = (b / "records.jsonl").read_text().splitlines()
+    # the config line echoes workers; every record line must match
+    assert dict(json.loads(ra[0])["config"], workers=2) == json.loads(rb[0])["config"]
+    assert ra[1:] == rb[1:] and len(ra) == 3
+    names = sorted(p.name for p in (a / "edges").iterdir())
+    assert names == ["n16-t0.edges", "n16-t1.edges"]
+    assert names == sorted(p.name for p in (b / "edges").iterdir())
+    for rel in ["final_graphs.g6"] + ["edges/" + f for f in names]:
+        assert (a / rel).read_bytes() == (b / rel).read_bytes()
+    # timings come from inside each trial, not from the wait on its future
+    for line in (b / "timings.txt").read_text().splitlines():
+        assert float(line.split()[1].rstrip("s")) > 0

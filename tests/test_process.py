@@ -125,7 +125,7 @@ def test_probe_examples():
 def test_k3_closure_is_cherry_completion():
     st = build_graph(5, 3, [(0, 1)])
     out = force_edge(st, 1, 2)
-    assert [tuple(p) for p in out.pairs_closed] == [(0, 2)]
+    assert [pair_of(5, int(i)) for i in out.closed_ids] == [(0, 2)]
     assert st.status_of(0, 2) == CLOSED
 
 
