@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import numpy as np
+
 
 def edge_log_text(n: int, rule: int, seed, edges) -> str:
     """Edge list as text: header 'n=<n> rule=K<order> seed=<seed>' then one
@@ -33,27 +35,20 @@ def graph6_line(n: int, edges) -> str:
     if n < 0 or n > 258047:
         raise ValueError("graph6 export supports 0 <= n <= 258047")
     if n <= 62:
-        head = [n + 63]
+        head = bytes([n + 63])
     else:
-        head = [126, (n >> 12) + 63, ((n >> 6) & 63) + 63, (n & 63) + 63]
-    adj = set()
-    for u, v in edges:
-        if u == v or not (0 <= u < n and 0 <= v < n):
-            raise ValueError("bad edge (%d,%d)" % (u, v))
-        adj.add((min(u, v), max(u, v)))
-    bits = []
-    for v in range(1, n):
-        for u in range(v):
-            bits.append(1 if (u, v) in adj else 0)
-    while len(bits) % 6:
-        bits.append(0)
-    body = []
-    for k in range(0, len(bits), 6):
-        val = 0
-        for bit in bits[k:k + 6]:
-            val = (val << 1) | bit
-        body.append(val + 63)
-    return bytes(head + body).decode("ascii")
+        head = bytes([126, (n >> 12) + 63, ((n >> 6) & 63) + 63, (n & 63) + 63])
+    e = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+    lo, hi = np.minimum(e[:, 0], e[:, 1]), np.maximum(e[:, 0], e[:, 1])
+    bad = np.flatnonzero((lo == hi) | (lo < 0) | (hi >= n))
+    if len(bad):
+        raise ValueError("bad edge (%d,%d)" % tuple(e[bad[0]]))
+    # bits run column by column over the upper triangle: (u, v) for u < v
+    # is bit v(v-1)/2 + u
+    bits = np.zeros(-(-n * (n - 1) // 12) * 6, dtype=np.uint8)
+    bits[hi * (hi - 1) // 2 + lo] = 1
+    body = bits.reshape(-1, 6) @ np.array([32, 16, 8, 4, 2, 1], dtype=np.uint8) + 63
+    return (head + body.tobytes()).decode("ascii")
 
 
 def write_graph6(path, graphs):

@@ -19,11 +19,12 @@ import time
 import numpy as np
 
 from . import analysis, graphio, k4stats, ledger as ledger_mod, trajectory
-from .process import EDGE, K3, K4, ProcessState, pair_index, pair_of
+from .process import EDGE, K3, K4, ProcessState
 
 MASK64 = (1 << 64) - 1
 SEED_STRIDE = 0x9E3779B97F4A7C15  # odd constant for per-trial seed derivation
-RNG_NAME = "numpy.PCG64"
+# process, witness and greedy-alpha streams: SeedSequence(seed).spawn(3)
+RNG_NAME = "numpy.PCG64/SeedSequence.spawn3"
 
 
 def mix64(x: int) -> int:
@@ -92,6 +93,7 @@ _INT_KEYS = {"trials", "base_seed", "witness_pairs", "n_ledger_max",
              "k4_witness_pairs", "k4_witness_triples", "exact_alpha_cap",
              "greedy_repeats", "workers"}
 _FLOAT_KEYS = {"mu", "beta", "gamma", "rho"}
+_STR_KEYS = {"process", "ledger_mode", "stop", "snapshot_stride"}
 
 
 def parse_config(text: str, overrides=None) -> ExperimentConfig:
@@ -109,18 +111,19 @@ def parse_config(text: str, overrides=None) -> ExperimentConfig:
         kv.update({k: str(v) for k, v in overrides.items() if v is not None})
     args = {}
     for key, val in kv.items():
-        if key in _LIST_KEYS:
-            args[key] = tuple(int(s) for s in val.split(",") if s.strip())
-        elif key in _INT_KEYS:
-            args[key] = int(val)
-        elif key in _FLOAT_KEYS:
-            args[key] = float(val)
-        elif key in ("process", "ledger_mode", "stop", "snapshot_stride"):
-            args[key] = val
-        else:
+        if key not in _LIST_KEYS | _INT_KEYS | _FLOAT_KEYS | _STR_KEYS:
             raise ValueError("unknown config key %r" % key)
-    if "snapshot_stride" in args and args["snapshot_stride"] != "auto":
-        args["snapshot_stride"] = int(args["snapshot_stride"])
+        try:
+            if key in _LIST_KEYS:
+                args[key] = tuple(int(s) for s in val.split(",") if s.strip())
+            elif key in _INT_KEYS or (key == "snapshot_stride" and val != "auto"):
+                args[key] = int(val)
+            elif key in _FLOAT_KEYS:
+                args[key] = float(val)
+            else:
+                args[key] = val
+        except ValueError:
+            raise ValueError("config key %s: bad value %r" % (key, val)) from None
     return ExperimentConfig(**args)
 
 
@@ -175,19 +178,13 @@ def _k3_snapshot(state, led, n, mode):
     t = i / n ** 1.5
     q_pred, x_pred, y_pred = trajectory.k3_eval(t)
     if mode == ledger_mod.FULL:
-        sel = state.status != EDGE
-        xs, ys, zs = led.x[sel], led.y[sel], led.z[sel]
-        labels = None
+        nonedge = state.status != EDGE
+        labels = np.flatnonzero(nonedge)
     else:
         nonedge = led.recount(state)
-        xs, ys, zs = led.x[nonedge], led.y[nonedge], led.z[nonedge]
         labels = led.witness_ids[nonedge]
-    pair_counts = []
-    if labels is None:
-        ids = np.nonzero(state.status != EDGE)[0]
-        pair_counts = zip(ids.tolist(), xs.tolist(), ys.tolist(), zs.tolist())
-    else:
-        pair_counts = zip(labels.tolist(), xs.tolist(), ys.tolist(), zs.tolist())
+    xs, ys, zs = led.x[nonedge], led.y[nonedge], led.z[nonedge]
+    pair_counts = zip(labels.tolist(), xs.tolist(), ys.tolist(), zs.tolist())
     report = trajectory.k3_bad_event(n, i, state.open_count, pair_counts)
     return {
         "i": i,
@@ -249,7 +246,8 @@ def run_trial(cfg: ExperimentConfig, n: int, trial: int, global_index: int):
     """One deterministic trial: (record, edge_log).  The record is a plain
     JSON-serializable dict; edge_log is the trial's edges in the order added."""
     seed = trial_seed(cfg.base_seed, global_index)
-    rng = np.random.default_rng(seed)
+    rng, witness_rng, alpha_rng = (
+        np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(3))
     rule = cfg.rule
     state = ProcessState(n, rule)
     stride = resolve_stride(cfg, n)
@@ -264,14 +262,14 @@ def run_trial(cfg: ExperimentConfig, n: int, trial: int, global_index: int):
             led = ledger_mod.PairLedger(state, ledger_mod.FULL)
         else:
             k = min(cfg.witness_pairs, state.npairs)
-            ids = rng.choice(state.npairs, size=k, replace=False)
+            ids = witness_rng.choice(state.npairs, size=k, replace=False)
             led = ledger_mod.PairLedger(state, ledger_mod.SAMPLED,
                                         witness_ids=ids)
     else:
         verts = np.arange(n)
-        k4_pairs = [tuple(sorted(rng.choice(verts, size=2, replace=False).tolist()))
+        k4_pairs = [tuple(sorted(witness_rng.choice(verts, size=2, replace=False).tolist()))
                     for _ in range(cfg.k4_witness_pairs)]
-        k4_triples = [tuple(sorted(rng.choice(verts, size=3, replace=False).tolist()))
+        k4_triples = [tuple(sorted(witness_rng.choice(verts, size=3, replace=False).tolist()))
                       for _ in range(cfg.k4_witness_triples)]
 
     def snapshot():
@@ -293,7 +291,7 @@ def run_trial(cfg: ExperimentConfig, n: int, trial: int, global_index: int):
     completed = state.open_count == 0
     adj = state.adjacency_sets()
     delta = state.max_degree()
-    greedy = analysis.independence_greedy(n, adj, rng, cfg.greedy_repeats)
+    greedy = analysis.independence_greedy(n, adj, alpha_rng, cfg.greedy_repeats)
     alpha, witness = greedy.value, greedy.witness
     if rule == K3 and delta > alpha:
         # in a triangle-free graph every neighborhood is independent

@@ -7,8 +7,9 @@ closed pair between v and A.  Both are brute-force enumerations over a
 snapshot (vectorized), recomputed for a sampled witness family at snapshot
 steps only; incremental maintenance of all of them would be O(n^4) state.
 
-Counts freeze once all pairs inside A are edges; callers keep the last
-unfrozen value.
+A pair's counts freeze once the pair is no longer open (the paper tracks
+X_{A,f} for open A only), a triple's once all pairs inside it are edges;
+callers keep the last unfrozen value.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .process import CLOSED, EDGE, ProcessState, pair_index
+from .process import CLOSED, EDGE, OPEN, ProcessState
 
 
 @dataclass
@@ -40,24 +41,17 @@ def k4_witness_counts(state: ProcessState, A, status_matrix=None) -> K4WitnessCo
     a, b = A
     if state.n < 4:
         raise ValueError("need n >= 4")
-    frozen = state.has_edge(a, b)
+    frozen = state.status_of(a, b) != OPEN
     s = state.status_matrix() if status_matrix is None else status_matrix
-    e = (s == EDGE)
-    c = (s == CLOSED)
-    ea = e[a].astype(np.int8)
-    eb = e[b].astype(np.int8)
+    e = (s == EDGE).view(np.int8)
     # edges from each candidate vertex into A, plus the candidates' own pair
-    into_a = ea + eb
-    f_mat = into_a[:, None] + into_a[None, :] + e.astype(np.int8) + int(e[a, b])
-    ok_vert = ~(c[a] | c[b])
-    ok_mat = ok_vert[:, None] & ok_vert[None, :] & ~c
-    n = state.n
-    valid = np.zeros((n, n), dtype=bool)
-    iu = np.triu_indices(n, 1)
-    valid[iu] = True
-    valid[a, :] = valid[:, a] = valid[b, :] = valid[:, b] = False
-    sel = valid & ok_mat
-    counts = np.bincount(f_mat[sel], minlength=7)[:5].astype(np.int64)
+    into_a = e[a] + e[b]
+    f_mat = into_a[:, None] + into_a[None, :] + e + e[a, b]
+    # candidate ends: no closed pair into A (the NO_PAIR diagonal drops a, b);
+    # B itself must be a real non-closed pair, counted once per orientation
+    ok_vert = (s[a] < CLOSED) & (s[b] < CLOSED)
+    sel = ok_vert[:, None] & ok_vert[None, :] & (s < CLOSED)
+    counts = np.bincount(f_mat[sel], minlength=7)[:5].astype(np.int64) // 2
     return K4WitnessCounts((a, b), counts, frozen)
 
 

@@ -18,7 +18,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .process import CLOSED, EDGE, NO_PAIR, OPEN, ProcessState, pair_index, pair_of
+from .process import EDGE, OPEN, ProcessState, pair_index, pair_of
 
 FULL = "full"
 SAMPLED = "sampled"
@@ -203,7 +203,7 @@ def sampled_counts(state: ProcessState, pair_ids):
     nonedge = np.ones(k, dtype=bool)
     for i, pid in enumerate(pair_ids.tolist()):
         u, v = pair_of(n, pid)
-        if state.status[pid] == EDGE:
+        if s[u, v] == EDGE:
             nonedge[i] = False
             continue
         su = s[u]

@@ -6,17 +6,18 @@ addition keeps the graph free of the forbidden clique.  Every vertex pair is
 always in exactly one of three states -- edge, open, or closed -- and the
 process ends when no open pair remains.
 
-The hot loop is engineered around two ideas:
-  * a dense array of open pair ids with swap-remove deletion, giving O(1)
-    uniform sampling and O(1) closure;
-  * closure detection local to the new edge (neighbor scans for the triangle
-    rule, a candidate-set probe for the K4 rule).
+The graph state is one symmetric n x n uint8 matrix S of pair statuses,
+NO_PAIR on the diagonal; rows of S are the neighbourhoods, and closure is
+found from the two rows of the new edge's ends.  S costs n^2 bytes: 4 MB at
+n=2000, 100 MB at n=10^4.  Sampling uses a lazily compacted list of open
+pair codes u*n+v (u<v): a draw that lands on an entry which is no longer
+open is redrawn, and the list is compacted once fewer than half of its
+entries are open, so a step makes at most two draws on average.
 """
 
 from __future__ import annotations
 
 import math
-from array import array
 
 import numpy as np
 
@@ -54,6 +55,12 @@ def pair_of(n: int, idx: int):
     return u, v
 
 
+def _upper_codes(n: int) -> np.ndarray:
+    """Codes u*n+v of the pairs u < v, in pair_index order."""
+    cols = np.arange(n, dtype=np.int32)
+    return np.concatenate([u * n + cols[u + 1:] for u in range(n)])
+
+
 class StepOutcome:
     """One step's result: the chosen edge and the pairs it closed."""
 
@@ -75,7 +82,7 @@ class RunResult:
 
 
 class ProcessState:
-    """Evolving graph plus pair-status partition and open-pair sampler."""
+    """Evolving graph as an n x n pair-status matrix, plus the open-pair list."""
 
     def __init__(self, n: int, rule: int = K3):
         if n < 2:
@@ -85,174 +92,131 @@ class ProcessState:
         self.n = n
         self.rule = rule
         self.steps = 0
-        npairs = n * (n - 1) // 2
-        self.npairs = npairs
-        self.status = np.zeros(npairs, dtype=np.uint8)  # all OPEN
-        self.open_count = npairs
-        self._open_list = array("i", range(npairs))
-        self._open_pos = array("i", range(npairs))
-        self._words = (n + 63) // 64
-        self.adj_bits = np.zeros((n, self._words), dtype=np.uint64)
-        self._nbr = [np.empty(8, dtype=np.int64) for _ in range(n)]
-        self._deg = [0] * n
+        self.npairs = n * (n - 1) // 2
+        self.S = np.zeros((n, n), dtype=np.uint8)  # all OPEN
+        np.fill_diagonal(self.S, NO_PAIR)
+        self.open_count = self.npairs
+        self._open = _upper_codes(n)
+        self._flat = None  # _upper_codes(n), built on first use of status
         self.edge_log: list[tuple[int, int]] = []
 
     # ------------------------------------------------------------------ views
 
-    def status_of(self, u: int, v: int) -> int:
-        return int(self.status[pair_index(self.n, u, v)])
-
-    def has_edge(self, u: int, v: int) -> bool:
-        return self.status_of(u, v) == EDGE
-
-    def degree(self, v: int) -> int:
-        return self._deg[v]
-
-    def neighbors(self, v: int) -> np.ndarray:
-        return self._nbr[v][: self._deg[v]]
-
-    def adjacency_sets(self):
-        return [set(self.neighbors(v).tolist()) for v in range(self.n)]
-
-    def max_degree(self) -> int:
-        return max(self._deg)
-
-    def open_pair_ids(self) -> np.ndarray:
-        return np.nonzero(self.status == OPEN)[0]
+    @property
+    def status(self) -> np.ndarray:
+        """Read-only flat upper triangle of S, in pair_index order."""
+        if self._flat is None:
+            self._flat = _upper_codes(self.n)
+        out = self.S.reshape(-1)[self._flat]
+        out.flags.writeable = False
+        return out
 
     def status_matrix(self) -> np.ndarray:
-        """n x n matrix of pair statuses, NO_PAIR on the diagonal."""
-        n = self.n
-        m = np.full((n, n), NO_PAIR, dtype=np.uint8)
-        iu = np.triu_indices(n, 1)
-        m[iu] = self.status
-        m.T[iu] = self.status
+        """n x n matrix of pair statuses, NO_PAIR on the diagonal (read-only
+        view of the live state)."""
+        m = self.S.view()
+        m.flags.writeable = False
         return m
 
-    def _row_int(self, v: int) -> int:
-        return int.from_bytes(self.adj_bits[v].tobytes(), "little")
+    def status_of(self, u: int, v: int) -> int:
+        return int(self.S[u, v])
+
+    def has_edge(self, u: int, v: int) -> bool:
+        return bool(self.S[u, v] == EDGE)
+
+    def degree(self, v: int) -> int:
+        return int(np.count_nonzero(self.S[v] == EDGE))
+
+    def neighbors(self, v: int) -> np.ndarray:
+        return np.flatnonzero(self.S[v] == EDGE)
+
+    def adjacency_sets(self):
+        return [set(np.flatnonzero(row == EDGE).tolist()) for row in self.S]
+
+    def max_degree(self) -> int:
+        return max(map(self.degree, range(self.n)))
+
+    def open_pair_ids(self) -> np.ndarray:
+        return np.flatnonzero(self.status == OPEN)
 
     # ------------------------------------------------------------------ probe
 
     def is_closed_probe(self, u: int, v: int) -> bool:
         """Would adding {u,v} complete a forbidden clique?  Pure function of
-        the adjacency; used as oracle against the stored status."""
-        if self.has_edge(u, v):
+        the adjacency; test oracle for the stored status."""
+        S = self.S
+        if S[u, v] == EDGE:
             raise ValueError("pair {%d,%d} is an edge" % (u, v))
-        common = self.adj_bits[u] & self.adj_bits[v]
+        common = np.flatnonzero((S[u] == EDGE) & (S[v] == EDGE))
         if self.rule == K3:
-            return bool(common.any())
-        # K4: need two adjacent common neighbors
-        cbits = int.from_bytes(common.tobytes(), "little")
-        if cbits.bit_count() < 2:
-            return False
-        w = cbits
-        while w:
-            lsb = w & -w
-            vert = lsb.bit_length() - 1
-            if self._row_int(vert) & cbits:
-                return True
-            w ^= lsb
-        return False
+            return len(common) > 0
+        # K4: need two adjacent common neighbours
+        return bool((S[np.ix_(common, common)] == EDGE).any())
 
     # ------------------------------------------------------------------ steps
 
-    def _remove_open(self, pid: int):
-        lst = self._open_list
-        pos = self._open_pos
-        p = pos[pid]
-        last = self.open_count - 1
-        moved = lst[last]
-        lst[p] = moved
-        pos[moved] = p
-        pos[pid] = -1
-        self.open_count = last
+    def _k3_newly_closed(self, u: int, v: int):
+        """Open pairs {u,w} for w ~ v and {v,w} for w ~ u, as (ends, ws)."""
+        S = self.S
+        side, w = np.nonzero((S[[v, u]] == EDGE) & (S[[u, v]] == OPEN))
+        return np.array([u, v])[side], w
 
-    def _add_neighbor(self, a: int, b: int):
-        buf = self._nbr[a]
-        d = self._deg[a]
-        if d == len(buf):
-            grown = np.empty(2 * d, dtype=np.int64)
-            grown[:d] = buf
-            self._nbr[a] = buf = grown
-        buf[d] = b
-        self._deg[a] = d + 1
+    def _k4_newly_closed(self, u: int, v: int):
+        """Open pairs that uv completes to a K4 minus that pair, with
+        C = N(u) ∩ N(v): pairs inside C, and {u,b} with b ~ v and b adjacent
+        to some vertex of C (and the mirror case {v,b})."""
+        S = self.S
+        eu = S[u] == EDGE
+        ev = S[v] == EDGE
+        c = np.flatnonzero(eu & ev)
+        i, j = np.nonzero(np.triu(S[np.ix_(c, c)] == OPEN))
+        ends, ws = [c[i]], [c[j]]
+        for x, nbr_y in ((u, ev), (v, eu)):
+            b = np.flatnonzero(nbr_y & (S[x] == OPEN))
+            if len(b) and len(c):
+                b = b[(S[np.ix_(b, c)] == EDGE).any(axis=1)]
+                ends.append(np.full(len(b), x))
+                ws.append(b)
+        return np.concatenate(ends), np.concatenate(ws)
 
-    def _set_bit(self, a: int, b: int):
-        self.adj_bits[a, b >> 6] |= np.uint64(1 << (b & 63))
-
-    def _k3_newly_closed(self, u: int, v: int) -> np.ndarray:
-        """Pairs closed by adding {u,v} under the triangle rule: {u,w} for
-        w ~ v and {v,w} for w ~ u, kept only if currently open."""
-        n = self.n
-        if self._deg[u] + self._deg[v] < 16:
-            # scalar path: numpy overhead swamps tiny neighbor lists
-            status = self.status
-            out = []
-            for x, y in ((u, v), (v, u)):
-                nbr = self._nbr[y]
-                for k in range(self._deg[y]):
-                    w = int(nbr[k])
-                    lo, hi = (x, w) if x < w else (w, x)
-                    pid = lo * (2 * n - lo - 1) // 2 + (hi - lo - 1)
-                    if status[pid] == OPEN:
-                        out.append(pid)
-            return np.asarray(out, dtype=np.int64)
-        parts = []
-        for x, y in ((u, v), (v, u)):
-            d = self._deg[y]
-            if d:
-                ws = self._nbr[y][:d]
-                lo = np.minimum(ws, x)
-                hi = np.maximum(ws, x)
-                ids = lo * (2 * n - lo - 1) // 2 + (hi - lo - 1)
-                parts.append(ids[self.status[ids] == OPEN])
-        if not parts:
-            return np.empty(0, dtype=np.int64)
-        return parts[0] if len(parts) == 1 else np.concatenate(parts)
-
-    def _k4_newly_closed(self, u: int, v: int) -> np.ndarray:
-        """Candidate pairs are confined to N(u) ∪ N(v) ∪ {u,v}; each open
-        candidate is rechecked with the clique-completion probe."""
-        cand = {u, v}
-        cand.update(self.neighbors(u).tolist())
-        cand.update(self.neighbors(v).tolist())
-        verts = sorted(cand)
-        n = self.n
-        out = []
-        for i, a in enumerate(verts):
-            for b in verts[i + 1:]:
-                pid = pair_index(n, a, b)
-                if self.status[pid] == OPEN and self.is_closed_probe(a, b):
-                    out.append(pid)
-        return np.asarray(out, dtype=np.int64)
-
-    def step(self, rng) -> StepOutcome:
-        """Add one uniformly random open pair; close what it forbids."""
+    def choose(self, rng):
+        """A uniformly random open pair (u, v), u < v; one rng.integers draw
+        per try."""
         if self.open_count == 0:
             raise ProcessTerminated("no open pairs at step %d" % self.steps)
-        r = int(rng.integers(self.open_count))
-        pid = self._open_list[r]
-        u, v = pair_of(self.n, pid)
-        self._remove_open(pid)
-        self.status[pid] = EDGE
-        if self.rule == K3:
-            closed_ids = self._k3_newly_closed(u, v)
-            self._set_bit(u, v)
-            self._set_bit(v, u)
-        else:
-            self._set_bit(u, v)
-            self._set_bit(v, u)
-            closed_ids = self._k4_newly_closed(u, v)
-        self._add_neighbor(u, v)
-        self._add_neighbor(v, u)
-        if len(closed_ids):
-            self.status[closed_ids] = CLOSED
-            for cid in closed_ids.tolist():
-                self._remove_open(cid)
+        flat = self.S.reshape(-1)
+        lst = self._open
+        if 2 * self.open_count < len(lst):
+            live = lst[flat[lst] == OPEN]
+            lst[:len(live)] = live
+            self._open = lst = lst[:len(live)]
+        while True:
+            code = int(lst[int(rng.integers(len(lst)))])
+            if flat[code] == OPEN:
+                return divmod(code, self.n)
+
+    def add_edge(self, u: int, v: int) -> StepOutcome:
+        """Add the open pair {u,v} and close every pair it forbids."""
+        n = self.n
+        if not (0 <= u < n and 0 <= v < n) or self.S[u, v] != OPEN:
+            raise ValueError("pair {%d,%d} is not open" % (u, v))
+        if u > v:
+            u, v = v, u
+        S = self.S
+        S[u, v] = S[v, u] = EDGE
+        a, b = (self._k3_newly_closed if self.rule == K3 else self._k4_newly_closed)(u, v)
+        S[a, b] = S[b, a] = CLOSED
+        lo = np.minimum(a, b)
+        hi = np.maximum(a, b)
+        closed_ids = lo * (2 * n - lo - 1) // 2 + (hi - lo - 1)
+        self.open_count -= 1 + len(closed_ids)
         self.steps += 1
         self.edge_log.append((u, v))
         return StepOutcome((u, v), closed_ids, self.steps)
+
+    def step(self, rng) -> StepOutcome:
+        """Add one uniformly random open pair; close what it forbids."""
+        return self.add_edge(*self.choose(rng))
 
     def run(self, rng, stop: int | None = None) -> RunResult:
         """Run until no open pair remains (or a step cap, applied between

@@ -3,27 +3,12 @@ import itertools
 import numpy as np
 import pytest
 
-from hfree.process import ProcessState, pair_index
-
-
-class _PickRng:
-    """Stub rng whose integers() returns a preset value once."""
-
-    def __init__(self, r):
-        self.r = r
-
-    def integers(self, high):
-        assert 0 <= self.r < high
-        return self.r
+from hfree.process import ProcessState
 
 
 def force_edge(state: ProcessState, u: int, v: int):
-    """Drive state.step so that it adds the pair {u,v} (must be open)."""
-    pid = pair_index(state.n, u, v)
-    pos = state._open_pos[pid]
-    if pos < 0:
-        raise ValueError("pair {%d,%d} is not open" % (u, v))
-    return state.step(_PickRng(pos))
+    """Add the pair {u,v} (must be open) as the next step of state."""
+    return state.add_edge(u, v)
 
 
 def build_graph(n, rule, edges):

@@ -63,6 +63,13 @@ def test_parse_config_overrides_and_errors():
         ExperimentConfig(n_list=(20,), snapshot_stride=-3)
     with pytest.raises(ValueError, match="n_list"):
         parse_config("process=K3\nn_list=20, 20\ntrials=2\n")
+    # a value that does not convert names its key and the value
+    for line, key in [("trials = abc", "trials"), ("mu = x", "mu"),
+                      ("n_list = 20, 3x", "n_list"),
+                      ("snapshot_stride = often", "snapshot_stride")]:
+        with pytest.raises(ValueError, match=key) as err:
+            parse_config("process=K3\nn_list=20\n" + line + "\n")
+        assert repr(line.split("=")[1].strip()) in str(err.value)
 
 
 def test_resolvers():
@@ -97,7 +104,7 @@ def test_run_trial_record_shape():
     rec, _ = run_trial(cfg, 20, 0, 0)
     assert rec["run_id"] == "n20-t0"
     assert rec["completed"] and rec["M"] == rec["steps"]
-    assert rec["rng"] == "numpy.PCG64"
+    assert rec["rng"] == harness.RNG_NAME
     assert rec["snapshots"][0]["i"] == 0
     assert rec["snapshots"][0]["Q"] == 190
     assert rec["snapshots"][-1]["i"] == rec["steps"]

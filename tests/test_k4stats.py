@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from hfree.k4stats import k4_triple_counts, k4_witness_counts
-from hfree.process import CLOSED, EDGE, ProcessState
+from hfree.process import CLOSED, EDGE, OPEN, ProcessState
 from conftest import build_graph
 
 
@@ -96,14 +96,24 @@ def test_small_n_rejected():
 
 
 def test_total_count_conservation(rng):
-    # every disjoint B lands in exactly one bucket or is excluded as closed
+    # for open A every disjoint B lands in exactly one bucket or is excluded
+    # as closed; A's counts are frozen iff A is no longer open
     st = ProcessState(12, 4)
     st.run(rng, stop=30)
-    wc = k4_witness_counts(st, (0, 1))
-    excluded = 0
-    for c, d in itertools.combinations(range(2, 12), 2):
-        quad = [0, 1, c, d]
-        if any(st.status_of(u, v) == CLOSED and {u, v} != {0, 1}
-               for u, v in itertools.combinations(quad, 2)):
-            excluded += 1
-    assert int(wc.x.sum()) + excluded == 10 * 9 // 2
+    statuses = set()
+    for A in itertools.combinations(range(12), 2):
+        wc = k4_witness_counts(st, A)
+        status = st.status_of(*A)
+        statuses.add(status)
+        assert wc.frozen == (status != OPEN)
+        if wc.frozen:
+            continue
+        rest = [w for w in range(12) if w not in A]
+        excluded = 0
+        for c, d in itertools.combinations(rest, 2):
+            quad = list(A) + [c, d]
+            if any(st.status_of(u, v) == CLOSED
+                   for u, v in itertools.combinations(quad, 2)):
+                excluded += 1
+        assert int(wc.x.sum()) + excluded == 10 * 9 // 2
+    assert CLOSED in statuses and OPEN in statuses

@@ -56,7 +56,7 @@ def _status_oracle(st):
     return out
 
 
-@pytest.mark.parametrize("rule,n", [(3, 18), (3, 30), (4, 14)])
+@pytest.mark.parametrize("rule,n", [(3, 18), (3, 30), (4, 14), (4, 24)])
 def test_invariants_through_run(rule, n, rng):
     st = ProcessState(n, rule)
     prev = st.status.copy()
@@ -142,6 +142,44 @@ def test_first_edge_uniform_chi_square():
     chi2 = float(((counts - expect) ** 2 / expect).sum())
     # chi-square 99% critical value, 2 degrees of freedom
     assert chi2 < 9.21
+
+
+def _choose_chi2(st, rng, draws):
+    """Chi-square statistic of `draws` choose() calls against the uniform
+    law on the open pairs, and a 99.9% critical value (Wilson-Hilferty)."""
+    ids = st.open_pair_ids().tolist()
+    slot = {pid: k for k, pid in enumerate(ids)}
+    counts = np.zeros(len(ids))
+    for _ in range(draws):
+        counts[slot[pair_index(st.n, *st.choose(rng))]] += 1
+    expect = draws / len(ids)
+    df = len(ids) - 1
+    crit = df * (1 - 2 / (9 * df) + 3.09 * (2 / (9 * df)) ** 0.5) ** 3
+    return float(((counts - expect) ** 2 / expect).sum()), crit
+
+
+def test_choose_uniform_over_open_pairs(rng):
+    st = ProcessState(20, 3)
+    st.run(rng, stop=6)
+    # the open list still holds closed and edge entries, not yet compacted
+    assert st.open_count < len(st._open) <= 2 * st.open_count
+    chi2, crit = _choose_chi2(st, rng, 20_000)
+    assert chi2 < crit
+    while 2 * st.open_count >= len(st._open):
+        st.step(rng)
+    st.choose(rng)  # compacts
+    assert len(st._open) == st.open_count > 1
+    chi2, crit = _choose_chi2(st, rng, 20_000)
+    assert chi2 < crit
+
+
+def test_add_edge_rejects_non_open_pairs():
+    st = build_graph(5, 3, [(0, 1), (1, 2)])
+    for u, v in [(0, 1), (2, 1), (0, 2), (3, 3), (0, 5), (-1, 4)]:
+        with pytest.raises(ValueError):
+            st.add_edge(u, v)
+    assert st.steps == 2 and st.open_count == 10 - 3
+    assert st.add_edge(4, 3).edge == (3, 4)
 
 
 def test_k4_n4_always_five_edges(rng):
