@@ -1,6 +1,13 @@
 """Experiment orchestration: config parsing, seeded trials, snapshotting,
 envelope auditing, and persistence.
 
+A trial runs the process and snapshots it every `snapshot_stride` steps.  A
+K3 snapshot counts X/Y/Z from the status matrix at that moment: in full
+ledger mode for every non-edge pair (`ledger.oracle_counts_matrix`), in
+sampled mode for a fixed witness family (`ledger.sampled_counts`).  Nothing
+is updated between snapshots; the incremental `PairLedger` is the audit of
+these counts in the tests, not part of a run.
+
 Records are line-delimited JSON, one completed trial per line, with the
 resolved configuration echoed on the first line.  Given the same config and
 base seed the record files are byte-identical; wall-clock timings therefore
@@ -68,12 +75,18 @@ class ExperimentConfig:
             raise ValueError("n_list must be nonempty")
         if len(set(self.n_list)) != len(self.n_list):
             raise ValueError("n_list repeats an n: %s" % (self.n_list,))
+        if min(self.n_list) < 2:
+            raise ValueError("n_list needs every n >= 2, got %s" % (self.n_list,))
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
         stride = self.snapshot_stride
         if stride != "auto" and not (isinstance(stride, int) and stride >= 1):
             raise ValueError("snapshot_stride must be 'auto' or an int >= 1, got %r"
                              % (stride,))
+        if self.ledger_mode not in ("auto", ledger_mod.FULL, ledger_mod.SAMPLED):
+            raise ValueError("ledger_mode must be auto, full or sampled, got %r"
+                             % (self.ledger_mode,))
+        _stop_arg(self.stop)
         for name in ("mu", "beta", "gamma", "rho"):
             if getattr(self, name) <= 0:
                 raise ValueError("%s must be positive" % name)
@@ -144,6 +157,22 @@ def resolve_stride(cfg: ExperimentConfig, n: int) -> int:
     return int(cfg.snapshot_stride)
 
 
+def _stop_arg(spec: str):
+    """The number of a 't:<float>' or 'steps:<int>' stop spec (None for
+    'full' and 'paper'); ValueError naming the key for anything else."""
+    if spec in ("full", "paper"):
+        return None
+    kind, _, arg = spec.partition(":")
+    try:
+        val = {"t": float, "steps": int}[kind](arg)
+    except (KeyError, ValueError):
+        val = None
+    if val is None or not 0 <= val < math.inf:
+        raise ValueError("config key stop: bad value %r (full | paper | "
+                         "t:<float >= 0> | steps:<int >= 0>)" % (spec,))
+    return val
+
+
 def resolve_stop(cfg: ExperimentConfig, n: int):
     spec = cfg.stop
     if spec == "full":
@@ -153,10 +182,8 @@ def resolve_stop(cfg: ExperimentConfig, n: int):
             return math.ceil(cfg.mu * math.sqrt(math.log(n)) * n ** 1.5)
         return math.ceil(cfg.mu * n ** 1.6 * math.log(n) ** 0.2)
     if spec.startswith("t:"):
-        return max(0, round(float(spec[2:]) * time_scale(cfg.rule, n)))
-    if spec.startswith("steps:"):
-        return int(spec[6:])
-    raise ValueError("bad stop spec %r" % spec)
+        return round(_stop_arg(spec) * time_scale(cfg.rule, n))
+    return _stop_arg(spec)
 
 
 def resolve_ledger_mode(cfg: ExperimentConfig, n: int) -> str:
@@ -166,25 +193,30 @@ def resolve_ledger_mode(cfg: ExperimentConfig, n: int) -> str:
     if mode == "full" and n > cfg.n_ledger_max:
         raise ValueError("n=%d exceeds full-ledger cap %d; use sampled mode"
                          % (n, cfg.n_ledger_max))
-    if mode not in (ledger_mod.FULL, ledger_mod.SAMPLED):
-        raise ValueError("bad ledger mode %r" % mode)
     return mode
 
 
 # -------------------------------------------------------------------- trials
 
-def _k3_snapshot(state, led, n, mode):
+def _k3_snapshot(state, n, witness_ids):
+    """Snapshot of Q and the X/Y/Z counts of the tracked non-edge pairs:
+    every pair recounted from S (witness_ids None, full mode), or the
+    sorted witness pair ids (sampled mode)."""
     i = state.steps
     t = i / n ** 1.5
     q_pred, x_pred, y_pred = trajectory.k3_eval(t)
-    if mode == ledger_mod.FULL:
+    if witness_ids is None:
+        upper = np.triu_indices(n, 1)  # pair_index order
         nonedge = state.status != EDGE
         labels = np.flatnonzero(nonedge)
+        xs, ys, zs = (m[upper][nonedge] for m in ledger_mod.oracle_counts_matrix(state))
     else:
-        nonedge = led.recount(state)
-        labels = led.witness_ids[nonedge]
-    xs, ys, zs = led.x[nonedge], led.y[nonedge], led.z[nonedge]
-    pair_counts = zip(labels.tolist(), xs.tolist(), ys.tolist(), zs.tolist())
+        x, y, z, nonedge = ledger_mod.sampled_counts(state, witness_ids)
+        labels = witness_ids[nonedge]
+        xs, ys, zs = x[nonedge], y[nonedge], z[nonedge]
+    # only pairs flagged here can give violations; the rest are not listed
+    flagged = trajectory.k3_pair_flags(n, i, xs, ys, zs).any(axis=1)
+    pair_counts = zip(*(a[flagged].tolist() for a in (labels, xs, ys, zs)))
     report = trajectory.k3_bad_event(n, i, state.open_count, pair_counts)
     return {
         "i": i,
@@ -253,18 +285,11 @@ def run_trial(cfg: ExperimentConfig, n: int, trial: int, global_index: int):
     stride = resolve_stride(cfg, n)
     stop = resolve_stop(cfg, n)
     snapshots = []
-    mode = None
-    led = None
-    k4_pairs = k4_triples = None
+    witness_ids = k4_pairs = k4_triples = None
     if rule == K3:
-        mode = resolve_ledger_mode(cfg, n)
-        if mode == ledger_mod.FULL:
-            led = ledger_mod.PairLedger(state, ledger_mod.FULL)
-        else:
+        if resolve_ledger_mode(cfg, n) == ledger_mod.SAMPLED:
             k = min(cfg.witness_pairs, state.npairs)
-            ids = witness_rng.choice(state.npairs, size=k, replace=False)
-            led = ledger_mod.PairLedger(state, ledger_mod.SAMPLED,
-                                        witness_ids=ids)
+            witness_ids = np.sort(witness_rng.choice(state.npairs, size=k, replace=False))
     else:
         verts = np.arange(n)
         k4_pairs = [tuple(sorted(witness_rng.choice(verts, size=2, replace=False).tolist()))
@@ -274,15 +299,13 @@ def run_trial(cfg: ExperimentConfig, n: int, trial: int, global_index: int):
 
     def snapshot():
         if rule == K3:
-            snapshots.append(_k3_snapshot(state, led, n, mode))
+            snapshots.append(_k3_snapshot(state, n, witness_ids))
         else:
             snapshots.append(_k4_snapshot(state, k4_pairs, k4_triples, n))
 
     snapshot()
     while state.open_count and (stop is None or state.steps < stop):
-        outcome = state.step(rng)
-        if rule == K3 and mode == ledger_mod.FULL:
-            led.apply_edge(outcome, state)
+        state.step(rng)
         if state.steps % stride == 0:
             snapshot()
     if snapshots[-1]["i"] != state.steps:

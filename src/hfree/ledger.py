@@ -2,13 +2,20 @@
 
 For a non-edge pair {u,v} a third vertex w is *open* if both {u,w} and {v,w}
 are open, *partial* if exactly one of them is an edge and the other is open,
-and *complete* if both are edges.  The ledger maintains the three counts
-|X_{u,v}|, |Y_{u,v}|, |Z_{u,v}| incrementally (full mode) or recomputes them
-for a fixed witness set at snapshot time (sampled mode), and exposes the
-exact conditional-expectation identities of the one-step changes as
-rationals for auditing.
+and *complete* if both are edges.  The counts |X_{u,v}|, |Y_{u,v}|,
+|Z_{u,v}| are computed three ways:
 
-Counts freeze the moment a pair becomes an edge.
+- `oracle_counts_matrix`: every pair at once, as matrix products of the
+  status matrix.  The harness's full mode recounts every non-edge pair this
+  way at each snapshot.
+- `sampled_counts`: a fixed witness family, from two rows of the status
+  matrix per pair (the harness's sampled mode).
+- `PairLedger`: maintained incrementally step by step, with the exact
+  conditional-expectation identities of the one-step changes as rationals.
+  It is the audit of those identities and of the recounts above (acceptance
+  criteria 1, 2 and 4, the pair-ledger demo); no experiment run uses it.
+
+Ledger counts freeze the moment a pair becomes an edge.
 """
 
 from __future__ import annotations
@@ -179,15 +186,19 @@ def recompute_oracle(state: ProcessState, u: int, v: int) -> PairCounts:
 
 
 def oracle_counts_matrix(state: ProcessState):
-    """Vectorized oracle: n x n matrices of (x, y, z) counts for all pairs,
-    computed from the status matrix alone (diagonal entries meaningless)."""
+    """Vectorized oracle: n x n int32 matrices (x, y, z) of the counts of all
+    pairs, from the status matrix alone (diagonal entries meaningless).
+
+    With O = (S == OPEN) and E = (S == EDGE) as 0/1 matrices, X = O O,
+    Y = O E + (O E)^T and Z = E E.  The products run in float32; they are
+    exact because every entry and every partial sum is an integer of at most
+    n - 2 < 2^24."""
     s = state.status_matrix()
-    o = (s == OPEN).astype(np.int32)
-    e = (s == EDGE).astype(np.int32)
-    x = o @ o.T
-    y = o @ e.T + e @ o.T
-    z = e @ e.T
-    return x, y, z
+    o = (s == OPEN).astype(np.float32)
+    e = (s == EDGE).astype(np.float32)
+    oe = o @ e
+    return ((o @ o).astype(np.int32), (oe + oe.T).astype(np.int32),
+            (e @ e).astype(np.int32))
 
 
 def sampled_counts(state: ProcessState, pair_ids):

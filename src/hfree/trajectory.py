@@ -9,6 +9,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
+import numpy as np
+
 
 # ------------------------------------------------------------------ K3 forms
 
@@ -181,25 +183,44 @@ class BadEventReport:
         return bool(self.violations)
 
 
+def _k3_pair_bands(n: int, t: float):
+    """Centers and allowed deviations of X, Y and Z for one pair at time t."""
+    _, x, y = k3_eval(t)
+    _, g_x, g_y = k3_envelope(t, n)
+    sq = math.sqrt(n)
+    return (x * n, y * sq, 0.0), (g_x * n, g_y * sq, math.log(n) ** 2)
+
+
+def k3_pair_flags(n: int, i: int, xs, ys, zs) -> np.ndarray:
+    """(k, 3) boolean mask of the pair-count deviations k3_bad_event reports:
+    columns X, Y, Z, flagged by abs(float(c) - center) >= band for X and Y
+    and float(z) >= (ln n)^2 for Z, elementwise in float64."""
+    centers, bands = _k3_pair_bands(n, i / n ** 1.5)
+    c = np.stack([np.asarray(v, dtype=np.float64) for v in (xs, ys, zs)], axis=1)
+    flags = np.abs(c - centers) >= bands
+    flags[:, 2] = c[:, 2] >= bands[2]
+    return flags
+
+
 def k3_bad_event(n: int, i: int, q_count: int, pair_counts=()) -> BadEventReport:
     """Check a snapshot against the deviation bands: |Q - q n^2| >= g_q n^2,
     |X| outside x n +- g_x n, |Y| outside y sqrt(n) +- g_y sqrt(n),
-    |Z| >= (ln n)^2.  pair_counts yields (label, x, y, z) per tracked pair."""
+    |Z| >= (ln n)^2.  pair_counts yields (label, x, y, z) per tracked pair;
+    violations come in that order, X, Y, Z within a pair."""
     t = i / n ** 1.5
-    q, x, y = k3_eval(t)
-    g_q, g_x, g_y = k3_envelope(t, n)
+    q, _, _ = k3_eval(t)
+    g_q, _, _ = k3_envelope(t, n)
     rep = BadEventReport(step=i)
     if abs(q_count - q * n * n) >= g_q * n * n:
         rep.violations.append(Violation("Q", q_count, q * n * n, g_q * n * n))
-    sq = math.sqrt(n)
-    zcap = math.log(n) ** 2
-    for label, xc, yc, zc in pair_counts:
-        if abs(xc - x * n) >= g_x * n:
-            rep.violations.append(Violation("X %s" % (label,), xc, x * n, g_x * n))
-        if abs(yc - y * sq) >= g_y * sq:
-            rep.violations.append(Violation("Y %s" % (label,), yc, y * sq, g_y * sq))
-        if zc >= zcap:
-            rep.violations.append(Violation("Z %s" % (label,), zc, 0.0, zcap))
+    rows = list(pair_counts)
+    if not rows:
+        return rep
+    labels, *counts = zip(*rows)
+    centers, bands = _k3_pair_bands(n, t)
+    for p, k in zip(*(a.tolist() for a in np.nonzero(k3_pair_flags(n, i, *counts)))):
+        rep.violations.append(Violation("%s %s" % ("XYZ"[k], labels[p]),
+                                        counts[k][p], centers[k], bands[k]))
     return rep
 
 

@@ -4,8 +4,10 @@ import math
 import numpy as np
 import pytest
 
-from conftest import has_clique
+from conftest import has_clique, k3_bad_event_scalar
 from hfree import cli, harness
+from hfree.ledger import FULL, PairLedger
+from hfree.process import EDGE, ProcessState
 from hfree.harness import (
     ExperimentConfig,
     load_records,
@@ -70,6 +72,18 @@ def test_parse_config_overrides_and_errors():
         with pytest.raises(ValueError, match=key) as err:
             parse_config("process=K3\nn_list=20\n" + line + "\n")
         assert repr(line.split("=")[1].strip()) in str(err.value)
+    # values that convert but cannot run fail at parse time, naming the key
+    for text, key in [("process=K3\nn_list = 12, 1\n", "n_list"),
+                      ("process=K3\nn_list=20\nstop = t:abc\n", "stop"),
+                      ("process=K3\nn_list=20\nstop = steps:-1\n", "stop"),
+                      ("process=K3\nn_list=20\nstop = t:nan\n", "stop"),
+                      ("process=K3\nn_list=20\nstop = often\n", "stop"),
+                      ("process=K4\nn_list=20\nledger_mode = fool\n", "ledger_mode"),
+                      ("process=K3\nn_list=20\nledger_mode = fool\n", "ledger_mode")]:
+        with pytest.raises(ValueError, match=key):
+            parse_config(text)
+    for stop in ("full", "paper", "t:0", "t:0.25", "steps:0", "steps:40"):
+        assert parse_config("process=K3\nn_list=2\nstop=%s\n" % stop).stop == stop
 
 
 def test_resolvers():
@@ -112,6 +126,35 @@ def test_run_trial_record_shape():
     assert rec["max_degree"] <= rec["alpha"]
     assert rec["alpha_exact"] is not None and rec["alpha"] <= rec["alpha_exact"]
     json.dumps(rec)  # must be serializable as-is
+
+
+def test_full_mode_snapshots_match_incremental_ledger():
+    # full-mode snapshots recount X/Y/Z from S; the incremental ledger,
+    # replayed over the trial's own edges, must give the same statistics
+    for n in (20, 40, 60):
+        cfg = ExperimentConfig(process="K3", n_list=(n,), ledger_mode="full",
+                               base_seed=n)
+        for trial in range(3):
+            rec, edge_log = run_trial(cfg, n, trial, trial)
+            snaps = {s["i"]: s for s in rec["snapshots"]}
+            st = ProcessState(n, 3)
+            led = PairLedger(st, FULL)
+            for step in range(len(edge_log) + 1):
+                if step:
+                    led.apply_edge(st.add_edge(*edge_log[step - 1]), st)
+                snap = snaps.pop(step, None)
+                if snap is None:
+                    continue
+                nonedge = st.status != EDGE
+                xs, ys, zs = led.x[nonedge], led.y[nonedge], led.z[nonedge]
+                rows = zip(np.flatnonzero(nonedge).tolist(), xs.tolist(),
+                           ys.tolist(), zs.tolist())
+                report = k3_bad_event_scalar(n, step, st.open_count, rows)
+                assert (snap["x_max"], snap["y_max"], snap["z_max"],
+                        snap["x_mean"], snap["y_mean"], snap["violations"]) == (
+                    int(xs.max()), int(ys.max()), int(zs.max()),
+                    float(xs.mean()), float(ys.mean()), len(report.violations))
+            assert not snaps and len(rec["snapshots"]) > 10
 
 
 def test_run_trial_k4_record():

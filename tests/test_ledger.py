@@ -98,6 +98,29 @@ def test_ledger_matches_oracle_full_run(rng):
             assert led.q == st.open_count
 
 
+def test_float32_oracle_matrix_at_n300():
+    # partway through a run at n=300 the float32 products must still equal
+    # the brute-force counts, on random non-edge pairs and on pairs with z > 0
+    n = 300
+    st = ProcessState(n, 3)
+    st.run(np.random.default_rng(300), stop=round(0.6 * n ** 1.5))
+    assert st.open_count
+    xm, ym, zm = oracle_counts_matrix(st)
+    assert xm.dtype == ym.dtype == zm.dtype == np.int32
+    u, v = np.triu_indices(n, 1)
+    nonedge = st.status != EDGE
+    u, v = u[nonedge], v[nonedge]
+    pick = np.random.default_rng(301)
+    some = pick.choice(len(u), size=150, replace=False)
+    with_z = np.flatnonzero(zm[u, v] > 0)
+    assert len(with_z) >= 50
+    for k in np.concatenate([some, pick.choice(with_z, size=50, replace=False)]):
+        a, b = int(u[k]), int(v[k])
+        assert recompute_oracle(st, a, b) == (xm[a, b], ym[a, b], zm[a, b])
+        assert (xm[b, a], ym[b, a], zm[b, a]) == (xm[a, b], ym[a, b], zm[a, b])
+    assert int(ym[u, v].max()) > 0 and int(xm[u, v].max()) > 0
+
+
 def test_oracle_rejects_edges():
     st = build_graph(4, 3, [(0, 1)])
     with pytest.raises(ValueError):

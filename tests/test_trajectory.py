@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from conftest import k3_bad_event_scalar
 from hfree.trajectory import (
     DEFAULT_P_COEFFS,
     k3_bad_event,
@@ -10,6 +11,7 @@ from hfree.trajectory import (
     k3_envelope_f,
     k3_eval,
     k3_ode_residual,
+    k3_pair_flags,
     k4_bad_event,
     k4_envelope,
     k4_envelope_f,
@@ -158,6 +160,48 @@ def test_k3_bad_event_z_cap():
     zbig = int(math.log(n) ** 2) + 1
     rep = k3_bad_event(n, 0, n * (n - 1) // 2, [("p", n - 2, 0, zbig)])
     assert any(v.name.startswith("Z") for v in rep.violations)
+
+
+def test_k3_bad_event_matches_scalar_reference():
+    rng = np.random.default_rng(2024)
+    for n, i in [(60, 0), (60, 150), (200, 1400), (2000, 50_000)]:
+        t = i / n ** 1.5
+        _, x, y = k3_eval(t)
+        _, g_x, g_y = k3_envelope(t, n)
+        sq = math.sqrt(n)
+        zcap = math.log(n) ** 2
+        # the band edges themselves and their float neighbours, and
+        # z == (ln n)^2 as a float count
+        edges = []
+        for c, g in ((x * n, g_x * n), (y * sq, g_y * sq)):
+            for e in (c - g, c + g):
+                edges += [e, np.nextafter(e, -np.inf), np.nextafter(e, np.inf)]
+        rows = [(("e", k), float(e), float(e), zcap) for k, e in enumerate(edges)]
+        rows += [("z-", 0, 0, float(np.nextafter(zcap, 0))),
+                 ("z=", 0, 0, zcap), ("z+", 0, 0, math.ceil(zcap))]
+        # integer counts around the centers, some inside and some outside
+        k = 300
+        xs = rng.integers(0, n, k).tolist()
+        ys = rng.integers(0, max(2, int(3 * (y + g_y) * sq)), k).tolist()
+        zs = rng.integers(0, int(2 * zcap) + 2, k).tolist()
+        rows += list(zip(range(k), xs, ys, zs))
+        rng.shuffle(rows)
+        q_count = int(rng.integers(0, n * (n - 1) // 2 + 1))
+        fast = k3_bad_event(n, i, q_count, iter(rows))
+        ref = k3_bad_event_scalar(n, i, q_count, rows)
+        assert fast == ref
+        assert len(ref.violations) > 10 and fast.step == i
+        # the rows k3_pair_flags passes carry every pair violation
+        labels, *counts = zip(*rows)
+        keep = k3_pair_flags(n, i, *(np.array(c) for c in counts)).any(axis=1)
+        kept = [r for r, f in zip(rows, keep) if f]
+        assert len(kept) < len(rows)
+        assert k3_bad_event(n, i, q_count, kept) == ref
+        # edge rows in both flagged and unflagged states
+        names = {v.name for v in ref.violations}
+        assert any(name.startswith("X ('e'") for name in names)
+        assert "Z z=" in names and "Z z-" not in names
+    assert k3_bad_event(60, 0, 1770, []) == k3_bad_event_scalar(60, 0, 1770)
 
 
 def test_k4_bad_event_step_zero():
