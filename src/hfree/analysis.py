@@ -1,9 +1,10 @@
 """Post-run graph analysis: independence number and Ramsey-ratio summaries.
 
-Graphs are passed as (n, adjacency sets); ProcessState.adjacency_sets()
-produces the expected form.  The exact solver is a bitmask branch-and-bound
-capped at small n; the greedy solver is a randomized min-degree-first bound
-usable at any scale.
+A graph is its n x n bool adjacency matrix E; for a process state that is
+`state.status_matrix() == EDGE`, and `graph_from_edges` builds one from an
+edge list.  The exact solver is a bitmask branch-and-bound capped at small
+n; the greedy solver is a randomized min-degree-first bound usable at any
+scale.
 """
 
 from __future__ import annotations
@@ -23,30 +24,27 @@ class AlphaResult:
     witness: list
 
 
-def graph_from_edges(n: int, edges):
-    adj = [set() for _ in range(n)]
+def graph_from_edges(n: int, edges) -> np.ndarray:
+    """n x n bool adjacency matrix of the given edges."""
+    adj = np.zeros((n, n), dtype=bool)
     for u, v in edges:
-        adj[u].add(v)
-        adj[v].add(u)
+        adj[u, v] = adj[v, u] = True
     return adj
 
 
 def _check_independent(adj, witness):
-    for i, u in enumerate(witness):
-        for v in witness[i + 1:]:
-            if v in adj[u]:
-                raise AssertionError("witness is not independent")
+    w = np.asarray(witness, dtype=np.intp)
+    if adj[np.ix_(w, w)].any():
+        raise AssertionError("witness is not independent")
 
 
-def independence_exact(n: int, adj, cap: int = EXACT_CAP) -> AlphaResult:
+def independence_exact(adj, cap: int = EXACT_CAP) -> AlphaResult:
     """Exact independence number by branch and bound on bitmasks, with a
     greedy seed and a population-count bound."""
+    n = len(adj)
     if n > cap:
         raise ValueError("n=%d exceeds exact cap %d; use independence_greedy" % (n, cap))
-    masks = [0] * n
-    for v in range(n):
-        for w in adj[v]:
-            masks[v] |= 1 << w
+    masks = [sum(1 << w for w in np.flatnonzero(row).tolist()) for row in adj]
     # greedy seed: repeatedly take a min-degree vertex
     avail = (1 << n) - 1
     seed = 0
@@ -96,34 +94,45 @@ def independence_exact(n: int, adj, cap: int = EXACT_CAP) -> AlphaResult:
     return AlphaResult(best_size, True, witness)
 
 
-def independence_greedy(n: int, adj, rng, repeats: int = 32) -> AlphaResult:
+def independence_greedy(adj, rng, repeats: int = 32) -> AlphaResult:
     """Best of `repeats` randomized min-degree-first greedy runs; a lower
-    bound on the true independence number."""
+    bound on the true independence number.
+
+    Each pick draws uniformly among the live vertices of least live degree,
+    listed in ascending order, then drops the pick and its live neighbours.
+    A dropped vertex's degree is set to 2n; later drops lower it by at most
+    its degree, so it stays above n - 1, the largest live degree."""
+    if repeats < 1:
+        raise ValueError("repeats must be >= 1, got %d" % repeats)
+    n = len(adj)
+    deg0 = adj.sum(axis=1)
     best = []
-    for _ in range(max(1, repeats)):
-        alive = set(range(n))
-        deg = {v: len(adj[v] & alive) for v in alive}
+    for _ in range(repeats):
+        deg = deg0.copy()
+        alive = np.ones(n, dtype=bool)
+        left = n
         chosen = []
-        while alive:
-            dmin = min(deg[v] for v in alive)
-            cands = [v for v in alive if deg[v] == dmin]
-            v = cands[int(rng.integers(len(cands)))]
+        while left:
+            # .nonzero()[0], not np.flatnonzero: at n=60 the wrapper costs
+            # more than the search
+            cands = (deg == deg.min()).nonzero()[0]
+            v = int(cands[int(rng.integers(len(cands)))])
             chosen.append(v)
-            drop = (adj[v] & alive) | {v}
-            alive -= drop
-            for u in drop:
-                del deg[u]
-            for u in drop:
-                for w in adj[u] & alive:
-                    deg[w] -= 1
+            drop = adj[v] & alive
+            drop[v] = True
+            drop = drop.nonzero()[0]
+            alive[drop] = False
+            left -= len(drop)
+            deg -= adj[drop].sum(axis=0)
+            deg[drop] = 2 * n
         if len(chosen) > len(best):
             best = chosen
     _check_independent(adj, best)
     return AlphaResult(len(best), False, sorted(best))
 
 
-def max_degree(n: int, adj) -> int:
-    return max((len(a) for a in adj), default=0)
+def max_degree(adj) -> int:
+    return int(np.count_nonzero(adj, axis=1).max()) if len(adj) else 0
 
 
 def ramsey_summary(records):

@@ -79,6 +79,13 @@ class ExperimentConfig:
             raise ValueError("n_list needs every n >= 2, got %s" % (self.n_list,))
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
+        if self.greedy_repeats < 1:
+            raise ValueError("config key greedy_repeats: must be >= 1, got %d"
+                             % self.greedy_repeats)
+        for name in ("witness_pairs", "k4_witness_pairs", "k4_witness_triples"):
+            if getattr(self, name) < 0:
+                raise ValueError("config key %s: must be >= 0, got %d"
+                                 % (name, getattr(self, name)))
         stride = self.snapshot_stride
         if stride != "auto" and not (isinstance(stride, int) and stride >= 1):
             raise ValueError("snapshot_stride must be 'auto' or an int >= 1, got %r"
@@ -312,17 +319,18 @@ def run_trial(cfg: ExperimentConfig, n: int, trial: int, global_index: int):
         snapshot()
 
     completed = state.open_count == 0
-    adj = state.adjacency_sets()
-    delta = state.max_degree()
-    greedy = analysis.independence_greedy(n, adj, alpha_rng, cfg.greedy_repeats)
+    adj = state.status_matrix() == EDGE
+    deg = np.count_nonzero(adj, axis=1)
+    delta = int(deg.max())
+    greedy = analysis.independence_greedy(adj, alpha_rng, cfg.greedy_repeats)
     alpha, witness = greedy.value, greedy.witness
     if rule == K3 and delta > alpha:
-        # in a triangle-free graph every neighborhood is independent
-        v = max(range(n), key=lambda u: len(adj[u]))
-        alpha, witness = len(adj[v]), sorted(adj[v])
+        # in a triangle-free graph every neighborhood is independent; take
+        # the lowest-numbered vertex of largest degree
+        alpha, witness = delta, np.flatnonzero(adj[deg.argmax()]).tolist()
     alpha_exact = None
     if n <= cfg.exact_alpha_cap:
-        alpha_exact = analysis.independence_exact(n, adj, cfg.exact_alpha_cap).value
+        alpha_exact = analysis.independence_exact(adj, cfg.exact_alpha_cap).value
     record = {
         "run_id": "n%d-t%d" % (n, trial),
         "n": n,

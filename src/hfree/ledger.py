@@ -202,30 +202,25 @@ def oracle_counts_matrix(state: ProcessState):
 
 
 def sampled_counts(state: ProcessState, pair_ids):
-    """Recompute (x, y, z) for the given pair ids from the current statuses.
-    Returns (x, y, z, nonedge_mask)."""
+    """Recompute (x, y, z) for the given pair ids from the current statuses,
+    zero at pairs that are edges.  Returns (x, y, z, nonedge_mask)."""
     n = state.n
     pair_ids = np.asarray(pair_ids, dtype=np.int64)
     s = state.status_matrix()
-    k = len(pair_ids)
-    x = np.zeros(k, dtype=np.int32)
-    y = np.zeros(k, dtype=np.int32)
-    z = np.zeros(k, dtype=np.int32)
-    nonedge = np.ones(k, dtype=bool)
-    for i, pid in enumerate(pair_ids.tolist()):
-        u, v = pair_of(n, pid)
-        if s[u, v] == EDGE:
-            nonedge[i] = False
-            continue
-        su = s[u]
-        sv = s[v]
-        uo = su == OPEN
-        ue = su == EDGE
-        vo = sv == OPEN
-        ve = sv == EDGE
-        x[i] = int(np.count_nonzero(uo & vo))
-        y[i] = int(np.count_nonzero((uo & ve) | (ue & vo)))
-        z[i] = int(np.count_nonzero(ue & ve))
+    # row u of the upper triangle starts at pair id u*(2n-u-1)/2
+    rows = np.arange(n, dtype=np.int64)
+    starts = rows * (2 * n - rows - 1) // 2
+    us = np.searchsorted(starts, pair_ids, side="right") - 1
+    vs = pair_ids - starts[us] + us + 1
+    nonedge = s[us, vs] != EDGE
+    su = s[us]
+    sv = s[vs]
+    uo = su == OPEN
+    ue = su == EDGE
+    vo = sv == OPEN
+    ve = sv == EDGE
+    x, y, z = (np.where(nonedge, np.count_nonzero(m, axis=1), 0).astype(np.int32)
+               for m in (uo & vo, (uo & ve) | (ue & vo), ue & ve))
     return x, y, z, nonedge
 
 

@@ -158,7 +158,10 @@ class ProcessState:
     def _k3_newly_closed(self, u: int, v: int):
         """Open pairs {u,w} for w ~ v and {v,w} for w ~ u, as (ends, ws)."""
         S = self.S
-        side, w = np.nonzero((S[[v, u]] == EDGE) & (S[[u, v]] == OPEN))
+        mask = (S[[v, u]] == EDGE) & (S[[u, v]] == OPEN)
+        # a 1-D nonzero of the flat mask lists the pairs in the row-major
+        # order of a 2-D nonzero at under half its cost at n=2000
+        side, w = np.divmod(mask.ravel().nonzero()[0], self.n)
         return np.array([u, v])[side], w
 
     def _k4_newly_closed(self, u: int, v: int):

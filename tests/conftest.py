@@ -4,7 +4,8 @@ import math
 import numpy as np
 import pytest
 
-from hfree.process import ProcessState
+from hfree.analysis import AlphaResult
+from hfree.process import EDGE, OPEN, ProcessState, pair_of
 from hfree.trajectory import BadEventReport, Violation, k3_envelope, k3_eval
 
 
@@ -46,6 +47,53 @@ def k3_bad_event_scalar(n, i, q_count, pair_counts=()):
         if zc >= zcap:
             rep.violations.append(Violation("Z %s" % (label,), zc, 0.0, zcap))
     return rep
+
+
+def independence_greedy_sets(n, adj, rng, repeats=32):
+    """Reference for analysis.independence_greedy over adjacency sets: the
+    min-degree candidates come from iterating a set of ints below n, which
+    yields them in ascending order."""
+    best = []
+    for _ in range(repeats):
+        alive = set(range(n))
+        deg = {v: len(adj[v] & alive) for v in alive}
+        chosen = []
+        while alive:
+            dmin = min(deg[v] for v in alive)
+            cands = [v for v in alive if deg[v] == dmin]
+            v = cands[int(rng.integers(len(cands)))]
+            chosen.append(v)
+            drop = (adj[v] & alive) | {v}
+            alive -= drop
+            for u in drop:
+                del deg[u]
+            for u in drop:
+                for w in adj[u] & alive:
+                    deg[w] -= 1
+        if len(chosen) > len(best):
+            best = chosen
+    return AlphaResult(len(best), False, sorted(best))
+
+
+def sampled_counts_loop(state, pair_ids):
+    """Reference for ledger.sampled_counts: one pair id at a time."""
+    s = state.status_matrix()
+    k = len(pair_ids)
+    x = np.zeros(k, dtype=np.int32)
+    y = np.zeros(k, dtype=np.int32)
+    z = np.zeros(k, dtype=np.int32)
+    nonedge = np.ones(k, dtype=bool)
+    for i, pid in enumerate(np.asarray(pair_ids).tolist()):
+        u, v = pair_of(state.n, pid)
+        if s[u, v] == EDGE:
+            nonedge[i] = False
+            continue
+        uo, ue = s[u] == OPEN, s[u] == EDGE
+        vo, ve = s[v] == OPEN, s[v] == EDGE
+        x[i] = np.count_nonzero(uo & vo)
+        y[i] = np.count_nonzero((uo & ve) | (ue & vo))
+        z[i] = np.count_nonzero(ue & ve)
+    return x, y, z, nonedge
 
 
 @pytest.fixture

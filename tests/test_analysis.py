@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from conftest import independence_greedy_sets
 from hfree.analysis import (
     graph_from_edges,
     independence_exact,
@@ -12,6 +13,7 @@ from hfree.analysis import (
     ramsey_summary,
     summary_to_csv,
 )
+from hfree.process import EDGE, K3, K4, ProcessState
 
 
 def petersen():
@@ -25,14 +27,14 @@ def _brute_alpha(n, adj):
     best = 0
     for r in range(n, 0, -1):
         for sub in itertools.combinations(range(n), r):
-            if all(v not in adj[u] for u, v in itertools.combinations(sub, 2)):
+            if all(not adj[u, v] for u, v in itertools.combinations(sub, 2)):
                 return r
     return best
 
 
 def test_petersen_exact():
     adj = petersen()
-    res = independence_exact(10, adj)
+    res = independence_exact(adj)
     assert res.value == 4
     assert res.exact
     assert res.value == _brute_alpha(10, adj)
@@ -40,19 +42,19 @@ def test_petersen_exact():
 
 def test_c5_exact():
     adj = graph_from_edges(5, [(i, (i + 1) % 5) for i in range(5)])
-    assert independence_exact(5, adj).value == 2
+    assert independence_exact(adj).value == 2
 
 
 def test_empty_and_complete():
-    assert independence_exact(7, graph_from_edges(7, [])).value == 7
+    assert independence_exact(graph_from_edges(7, [])).value == 7
     kn = graph_from_edges(6, list(itertools.combinations(range(6), 2)))
-    assert independence_exact(6, kn).value == 1
+    assert independence_exact(kn).value == 1
 
 
 def test_exact_cap():
     adj = graph_from_edges(100, [])
     with pytest.raises(ValueError):
-        independence_exact(100, adj, cap=60)
+        independence_exact(adj, cap=60)
 
 
 @pytest.mark.parametrize("seed", [3, 4, 5, 6])
@@ -62,7 +64,7 @@ def test_exact_matches_brute_on_random(seed):
     edges = [e for e in itertools.combinations(range(n), 2)
              if rng.random() < 0.3]
     adj = graph_from_edges(n, edges)
-    assert independence_exact(n, adj).value == _brute_alpha(n, adj)
+    assert independence_exact(adj).value == _brute_alpha(n, adj)
 
 
 def test_greedy_lower_bounds_exact(rng):
@@ -72,16 +74,38 @@ def test_greedy_lower_bounds_exact(rng):
         edges = [e for e in itertools.combinations(range(n), 2)
                  if r.random() < 0.25]
         adj = graph_from_edges(n, edges)
-        greedy = independence_greedy(n, adj, rng, repeats=16)
-        exact = independence_exact(n, adj)
+        greedy = independence_greedy(adj, rng, repeats=16)
+        exact = independence_exact(adj)
         assert greedy.value <= exact.value
         assert len(greedy.witness) == greedy.value
 
 
+@pytest.mark.parametrize("rule,n,stop", [
+    (K3, 12, None), (K3, 60, None), (K3, 500, None), (K3, 300, 1500),
+    (K4, 40, None), (K4, 200, None), (K4, 300, 2000), (K3, 50, 0)])
+def test_greedy_matches_set_oracle(rule, n, stop):
+    """Same draws as the set version: value and witness agree for the same
+    seed, on full and truncated K3/K4 graphs and the empty graph (all ties)."""
+    st = ProcessState(n, rule)
+    st.run(np.random.default_rng(n + rule), stop=stop)
+    for seed in (0, 1):
+        got = independence_greedy(st.status_matrix() == EDGE,
+                                  np.random.default_rng(seed), repeats=4)
+        want = independence_greedy_sets(n, st.adjacency_sets(),
+                                        np.random.default_rng(seed), repeats=4)
+        assert (got.value, got.witness) == (want.value, want.witness)
+        assert all(type(v) is int for v in got.witness)
+
+
+def test_greedy_rejects_no_repeats(rng):
+    with pytest.raises(ValueError):
+        independence_greedy(graph_from_edges(4, [(0, 1)]), rng, repeats=0)
+
+
 def test_max_degree():
     adj = graph_from_edges(5, [(0, 1), (0, 2), (0, 3)])
-    assert max_degree(5, adj) == 3
-    assert max_degree(3, graph_from_edges(3, [])) == 0
+    assert max_degree(adj) == 3
+    assert max_degree(graph_from_edges(3, [])) == 0
 
 
 def test_ramsey_summary(tmp_path):

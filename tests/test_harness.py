@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import has_clique, k3_bad_event_scalar
-from hfree import cli, harness
+from hfree import analysis, cli, harness
 from hfree.ledger import FULL, PairLedger
 from hfree.process import EDGE, ProcessState
 from hfree.harness import (
@@ -79,9 +79,20 @@ def test_parse_config_overrides_and_errors():
                       ("process=K3\nn_list=20\nstop = t:nan\n", "stop"),
                       ("process=K3\nn_list=20\nstop = often\n", "stop"),
                       ("process=K4\nn_list=20\nledger_mode = fool\n", "ledger_mode"),
-                      ("process=K3\nn_list=20\nledger_mode = fool\n", "ledger_mode")]:
+                      ("process=K3\nn_list=20\nledger_mode = fool\n", "ledger_mode"),
+                      ("process=K3\nn_list=20\ngreedy_repeats = 0\n", "greedy_repeats"),
+                      ("process=K3\nn_list=20\ngreedy_repeats = -4\n", "greedy_repeats"),
+                      ("process=K3\nn_list=20, 80\nwitness_pairs = -1\n", "witness_pairs"),
+                      ("process=K4\nn_list=20\nk4_witness_pairs = -3\n",
+                       "k4_witness_pairs"),
+                      ("process=K4\nn_list=20\nk4_witness_triples = -1\n",
+                       "k4_witness_triples")]:
         with pytest.raises(ValueError, match=key):
             parse_config(text)
+    # the smallest legal values still parse
+    cfg = parse_config("process=K3\nn_list=20\ngreedy_repeats=1\nwitness_pairs=0\n"
+                       "k4_witness_pairs=0\nk4_witness_triples=0\n")
+    assert (cfg.greedy_repeats, cfg.witness_pairs) == (1, 0)
     for stop in ("full", "paper", "t:0", "t:0.25", "steps:0", "steps:40"):
         assert parse_config("process=K3\nn_list=2\nstop=%s\n" % stop).stop == stop
 
@@ -172,6 +183,26 @@ def test_capped_run_has_no_m():
     cfg = ExperimentConfig(process="K3", n_list=(30,), trials=1, stop="steps:10")
     rec, _ = run_trial(cfg, 30, 0, 0)
     assert rec["steps"] == 10 and not rec["completed"] and rec["M"] is None
+
+
+def test_delta_fallback_takes_lowest_max_degree_vertex(monkeypatch):
+    """A greedy bound below the largest degree is replaced by the
+    neighbourhood of the lowest-numbered vertex of largest degree."""
+    monkeypatch.setattr(analysis, "independence_greedy",
+                        lambda adj, rng, repeats: analysis.AlphaResult(1, False, [0]))
+    cfg = ExperimentConfig(process="K3", n_list=(40,), trials=3, base_seed=2)
+    ties = 0
+    for g in range(3):
+        rec, edge_log = run_trial(cfg, 40, g, g)
+        nbrs = [set() for _ in range(40)]
+        for u, v in edge_log:
+            nbrs[u].add(v)
+            nbrs[v].add(u)
+        deg = [len(a) for a in nbrs]
+        assert rec["alpha"] == rec["max_degree"] == max(deg) > 1
+        assert rec["alpha_witness"] == sorted(nbrs[deg.index(max(deg))])
+        ties += deg.count(max(deg)) > 1
+    assert ties  # some trial has several vertices of largest degree
 
 
 def test_experiment_persistence_and_determinism(tmp_path):

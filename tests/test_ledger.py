@@ -18,7 +18,7 @@ from hfree.ledger import (
     sampled_counts,
 )
 from hfree.process import EDGE, ProcessState, pair_index
-from conftest import build_graph, force_edge
+from conftest import build_graph, force_edge, sampled_counts_loop
 
 
 def test_init_values():
@@ -188,6 +188,21 @@ def test_sampled_counts_marks_edges(rng):
     x, y, z, nonedge = sampled_counts(st, all_ids)
     assert np.count_nonzero(~nonedge) == 8
     assert np.array_equal(~nonedge, st.status == EDGE)
+
+
+@pytest.mark.parametrize("n,stop", [(5, 3), (30, 60), (200, 1500), (200, None)])
+def test_sampled_counts_match_loop(n, stop, rng):
+    st = ProcessState(n, 3)
+    st.run(rng, stop=stop)
+    edges = [pair_index(n, u, v) for u, v in st.edge_log[:10]]
+    drawn = np.random.default_rng(n).choice(st.npairs, size=min(50, st.npairs),
+                                            replace=False)
+    ids = np.unique(np.concatenate([drawn, edges, [0, st.npairs - 1]]))
+    got = sampled_counts(st, ids)
+    want = sampled_counts_loop(st, ids)
+    assert not got[3].all()  # some witnesses are edges
+    for a, b in zip(got, want):
+        assert a.dtype == b.dtype and np.array_equal(a, b)
 
 
 # ------------------------------------------------- expectation identities
