@@ -12,7 +12,7 @@ import os
 
 import numpy as np
 
-from hfree import ProcessState, graph6_line, write_edge_log
+from hfree import EDGE, ProcessState, graph6_line, write_edge_log
 
 
 def main():
@@ -30,12 +30,11 @@ def main():
     print("terminated after M = %d edges" % res.M)
     print("M / (n^{3/2} sqrt(ln n)) = %.4f"
           % (res.M / (n ** 1.5 * math.sqrt(math.log(n)))))
-    degs = [st.degree(v) for v in range(n)]
-    print("degrees: min %d  mean %.1f  max %d" % (min(degs), np.mean(degs), max(degs)))
+    degs = np.count_nonzero(st.status_matrix() == EDGE, axis=1)
+    print("degrees: min %d  mean %.1f  max %d" % (degs.min(), degs.mean(), degs.max()))
 
     # every non-edge should be closed: adding it would make a triangle
-    open_left = int(np.count_nonzero(st.status == 0))
-    print("open pairs remaining: %d (maximality)" % open_left)
+    print("open pairs remaining: %d (maximality)" % st.open_count)
 
     out = os.path.join(tempfile.gettempdir(), "triangle_free_run.edges")
     write_edge_log(out, n, 3, args.seed, st.edge_log)

@@ -12,8 +12,6 @@ from .process import (
     ProcessTerminated,
     RunResult,
     StepOutcome,
-    pair_index,
-    pair_of,
 )
 from .ledger import (
     FULL,

@@ -95,8 +95,16 @@ class ExperimentConfig:
                              % (self.ledger_mode,))
         _stop_arg(self.stop)
         for name in ("mu", "beta", "gamma", "rho"):
-            if getattr(self, name) <= 0:
-                raise ValueError("%s must be positive" % name)
+            if not 0 < getattr(self, name) < math.inf:
+                raise ValueError("config key %s: must be finite and positive, got %r"
+                                 % (name, getattr(self, name)))
+        if self.workers < 1:
+            raise ValueError("config key workers: must be >= 1, got %d" % self.workers)
+        if (self.process == "K3" and self.ledger_mode == ledger_mod.FULL
+                and max(self.n_list) > self.n_ledger_max):
+            raise ValueError("config key n_ledger_max: n=%d exceeds the full-ledger cap "
+                             "%d; raise it or use ledger_mode = sampled"
+                             % (max(self.n_list), self.n_ledger_max))
 
     @property
     def rule(self) -> int:
@@ -197,9 +205,6 @@ def resolve_ledger_mode(cfg: ExperimentConfig, n: int) -> str:
     mode = cfg.ledger_mode
     if mode == "auto":
         return ledger_mod.FULL if n <= 64 else ledger_mod.SAMPLED
-    if mode == "full" and n > cfg.n_ledger_max:
-        raise ValueError("n=%d exceeds full-ledger cap %d; use sampled mode"
-                         % (n, cfg.n_ledger_max))
     return mode
 
 
@@ -213,10 +218,9 @@ def _k3_snapshot(state, n, witness_ids):
     t = i / n ** 1.5
     q_pred, x_pred, y_pred = trajectory.k3_eval(t)
     if witness_ids is None:
-        upper = np.triu_indices(n, 1)  # pair_index order
-        nonedge = state.status != EDGE
-        labels = np.flatnonzero(nonedge)
-        xs, ys, zs = (m[upper][nonedge] for m in ledger_mod.oracle_counts_matrix(state))
+        # codes u*n+v of the non-edge pairs u < v, in row-major order
+        labels = np.flatnonzero(np.triu(state.status_matrix() != EDGE, 1))
+        xs, ys, zs = (m.ravel()[labels] for m in ledger_mod.oracle_counts_matrix(state))
     else:
         x, y, z, nonedge = ledger_mod.sampled_counts(state, witness_ids)
         labels = witness_ids[nonedge]
@@ -370,9 +374,6 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None, edge_logs=False):
     jobs = []
     gidx = 0
     for n in cfg.n_list:
-        resolve_stop(cfg, n)
-        if cfg.rule == K3:
-            resolve_ledger_mode(cfg, n)
         for trial in range(cfg.trials):
             jobs.append((n, trial, gidx))
             gidx += 1

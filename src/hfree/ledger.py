@@ -10,12 +10,14 @@ and *complete* if both are edges.  The counts |X_{u,v}|, |Y_{u,v}|,
   way at each snapshot.
 - `sampled_counts`: a fixed witness family, from two rows of the status
   matrix per pair (the harness's sampled mode).
-- `PairLedger`: maintained incrementally step by step, with the exact
+- `PairLedger`: n x n count matrices maintained step by step, with the exact
   conditional-expectation identities of the one-step changes as rationals.
   It is the audit of those identities and of the recounts above (acceptance
   criteria 1, 2 and 4, the pair-ledger demo); no experiment run uses it.
 
-Ledger counts freeze the moment a pair becomes an edge.
+The ledger and the oracles address a pair by (u, v) in the status matrix S;
+only `sampled_counts` takes the harness's witness ids.  Ledger counts freeze
+the moment a pair becomes an edge.
 """
 
 from __future__ import annotations
@@ -25,13 +27,25 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .process import EDGE, OPEN, ProcessState, pair_index, pair_of
+from .process import CLOSED, EDGE, OPEN, ProcessState
 
+# the two values of the harness's ledger_mode; a PairLedger is always full
 FULL = "full"
 SAMPLED = "sampled"
 
 # classes used internally
 _X, _Y, _Z, _NONE = 0, 1, 2, 3
+
+# _CLASS[s1, s2]: one-hot (x, y, z) class of a vertex whose pairs to the two
+# ends of a pair have statuses s1 and s2; all zero for CLOSED and NO_PAIR
+_CLASS = np.zeros((4, 4, 3), dtype=np.int32)
+_CLASS[OPEN, OPEN, _X] = 1
+_CLASS[OPEN, EDGE, _Y] = _CLASS[EDGE, OPEN, _Y] = 1
+_CLASS[EDGE, EDGE, _Z] = 1
+# _MOVE[s_new][:, s2]: change of that class when s1 goes from OPEN to s_new
+_MOVE = (_CLASS - _CLASS[OPEN]).transpose(0, 2, 1)
+# 1 where a pair's counts still move: OPEN or CLOSED, not EDGE or NO_PAIR
+_LIVE = np.array([1, 0, 1, 0], dtype=np.int32)
 
 
 class PairCounts(NamedTuple):
@@ -55,114 +69,53 @@ def _classify(s1: int, s2: int) -> int:
 
 
 class PairLedger:
-    """Incrementally maintained PairCounts for every non-edge pair (full
-    mode) or a fixed witness family (sampled mode)."""
+    """Incrementally maintained PairCounts for every pair: x, y and z are
+    symmetric n x n int32 matrices, zero on the diagonal."""
 
-    def __init__(self, state: ProcessState, mode: str = FULL,
-                 witness_ids=None):
+    def __init__(self, state: ProcessState, mode: str = FULL):
         if state.steps != 0:
             raise ValueError("ledger must be initialized on a fresh state")
-        if mode not in (FULL, SAMPLED):
-            raise ValueError("unknown ledger mode %r" % mode)
-        self.n = state.n
-        self.mode = mode
+        if mode != FULL:
+            raise ValueError("unknown ledger mode %r (a PairLedger is full mode only)"
+                             % (mode,))
+        n = self.n = state.n
         self.q = state.npairs
         self.applied = 0
-        if mode == FULL:
-            self.x = np.full(state.npairs, state.n - 2, dtype=np.int32)
-            self.y = np.zeros(state.npairs, dtype=np.int32)
-            self.z = np.zeros(state.npairs, dtype=np.int32)
-            self.witness_ids = None
-        else:
-            if witness_ids is None:
-                raise ValueError("sampled mode needs witness pair ids")
-            self.witness_ids = np.asarray(sorted(witness_ids), dtype=np.int64)
-            k = len(self.witness_ids)
-            self.x = np.full(k, state.n - 2, dtype=np.int32)
-            self.y = np.zeros(k, dtype=np.int32)
-            self.z = np.zeros(k, dtype=np.int32)
-
-    # ---------------------------------------------------------------- access
+        self._xyz = np.zeros((3, n, n), dtype=np.int32)
+        self.x, self.y, self.z = self._xyz
+        self.x[:] = n - 2
+        np.fill_diagonal(self.x, 0)
+        # statuses as replayed so far; equals state.S between steps
+        self._s = state.S.copy()
 
     def counts(self, u: int, v: int) -> PairCounts:
-        pid = pair_index(self.n, u, v)
-        if self.mode == FULL:
-            return PairCounts(int(self.x[pid]), int(self.y[pid]), int(self.z[pid]))
-        k = int(np.searchsorted(self.witness_ids, pid))
-        if k >= len(self.witness_ids) or self.witness_ids[k] != pid:
-            raise KeyError("pair {%d,%d} is not a witness" % (u, v))
-        return PairCounts(int(self.x[k]), int(self.y[k]), int(self.z[k]))
-
-    # ---------------------------------------------------------------- update
+        return PairCounts(int(self.x[u, v]), int(self.y[u, v]), int(self.z[u, v]))
 
     def apply_edge(self, outcome, state: ProcessState):
         """Fold the most recent step into the ledger.
 
-        Each status transition of a pair {a,b} re-classifies vertex b with
-        respect to every tracked pair {a,z} and vertex a with respect to
-        every {b,z}; pairs that are already edges stay frozen.
+        The step's status changes (the edge, then each closed pair) are
+        replayed one at a time; a change not yet replayed still reads OPEN.
+        A change of {a,b} re-classifies vertex b for every pair {a,w} and
+        vertex a for every pair {b,w}, as one vector update over w; pairs
+        that are edges (the one just added too) stay frozen.
         """
         if outcome.step != state.steps or self.applied != outcome.step - 1:
             raise ValueError("outcome is not the most recent step")
         self.applied = outcome.step
-        n_closed = len(outcome.closed_ids)
-        self.q -= 1 + n_closed
-        if self.mode == SAMPLED:
-            return  # counts refreshed from adjacency at snapshot time
-        n = self.n
-        status = state.status
-        edge_pid = pair_index(n, *outcome.edge)
-        changed_ids = {edge_pid}
-        changed_ids.update(int(i) for i in outcome.closed_ids)
-        changed_pairs = [outcome.edge] + [pair_of(n, int(i)) for i in outcome.closed_ids]
-        affected = set()
-        for a, b in changed_pairs:
-            for w in range(n):
-                if w == a or w == b:
-                    continue
-                affected.add((pair_index(n, a, w), b))
-                affected.add((pair_index(n, b, w), a))
-        x, y, z = self.x, self.y, self.z
-        for pid, w in affected:
-            if status[pid] == EDGE:
-                continue  # frozen (covers the pair just added as well)
-            a, b = pair_of(n, pid)
-            id1 = pair_index(n, a, w)
-            id2 = pair_index(n, b, w)
-            s1n = status[id1]
-            s2n = status[id2]
-            s1o = OPEN if id1 in changed_ids else s1n
-            s2o = OPEN if id2 in changed_ids else s2n
-            old = _classify(s1o, s2o)
-            new = _classify(s1n, s2n)
-            if old == new:
-                continue
-            if old == _X:
-                x[pid] -= 1
-            elif old == _Y:
-                y[pid] -= 1
-            elif old == _Z:
-                z[pid] -= 1
-            if new == _X:
-                x[pid] += 1
-            elif new == _Y:
-                y[pid] += 1
-            elif new == _Z:
-                z[pid] += 1
-
-    def recount(self, state: ProcessState):
-        """Sampled mode: recompute witness counts from the current statuses.
-        Returns a mask of witnesses that are still non-edges."""
-        if self.mode != SAMPLED:
-            raise ValueError("recount is a sampled-mode operation")
-        x, y, z, nonedge = sampled_counts(state, self.witness_ids)
-        # frozen witnesses keep their last pre-edge values
-        self.x[nonedge] = x[nonedge]
-        self.y[nonedge] = y[nonedge]
-        self.z[nonedge] = z[nonedge]
-        self.q = state.open_count
-        self.applied = state.steps
-        return nonedge
+        self.q -= 1 + len(outcome.closed_ids)
+        s, xyz = self._s, self._xyz
+        ends, ws = np.divmod(outcome.closed_ids, self.n)
+        changes = [(*outcome.edge, EDGE)] + [(a, b, CLOSED) for a, b in
+                                              zip(ends.tolist(), ws.tolist())]
+        for a, b, s_new in changes:
+            s[a, b] = s[b, a] = s_new
+            for p, r in ((a, b), (b, a)):
+                # every live pair {p,w}: vertex r moves from class
+                # (OPEN, s[r,w]) to (s_new, s[r,w])
+                d = _MOVE[s_new][:, s[r]] * _LIVE[s[p]]
+                xyz[:, p, :] += d
+                xyz[:, :, p] += d
 
 
 # -------------------------------------------------------------------- oracle
@@ -203,7 +156,10 @@ def oracle_counts_matrix(state: ProcessState):
 
 def sampled_counts(state: ProcessState, pair_ids):
     """Recompute (x, y, z) for the given pair ids from the current statuses,
-    zero at pairs that are edges.  Returns (x, y, z, nonedge_mask)."""
+    zero at pairs that are edges.  Returns (x, y, z, nonedge_mask).
+
+    A pair id numbers the pairs u < v 0, 1, 2, ... in row-major order; the
+    harness draws its sampled witnesses as such ids."""
     n = state.n
     pair_ids = np.asarray(pair_ids, dtype=np.int64)
     s = state.status_matrix()
@@ -226,62 +182,35 @@ def sampled_counts(state: ProcessState, pair_ids):
 
 # --------------------------------------------- exact conditional expectations
 
-def _require_full(ledger: PairLedger):
-    if ledger.mode != FULL:
-        raise ValueError("operation needs neighbors' counts: full mode only")
-
-
 def expected_open_loss(ledger: PairLedger, state: ProcessState, u: int, v: int) -> Fraction:
     """Exact E[one-step loss of x] for pair {u,v}:
     sum over open w of (2 + |Y_{u,w}| + |Y_{v,w}| - |Z_{u,v}|) / q."""
-    _require_full(ledger)
     if state.has_edge(u, v):
         raise ValueError("pair is an edge")
-    n = state.n
-    status = state.status
-    zc = int(ledger.z[pair_index(n, u, v)])
-    total = 0
-    for w in range(n):
-        if w == u or w == v:
-            continue
-        id1 = pair_index(n, u, w)
-        id2 = pair_index(n, v, w)
-        if status[id1] == OPEN and status[id2] == OPEN:
-            total += 2 + int(ledger.y[id1]) + int(ledger.y[id2]) - zc
+    s = state.S
+    w = (s[u] == OPEN) & (s[v] == OPEN)  # NO_PAIR excludes w = u, v
+    total = (np.count_nonzero(w) * (2 - int(ledger.z[u, v]))
+             + int(ledger.y[u, w].sum()) + int(ledger.y[v, w].sum()))
     return Fraction(total, ledger.q)
 
 
 def expected_partial_loss(ledger: PairLedger, state: ProcessState, u: int, v: int) -> Fraction:
     """Exact E[one-step loss of y] for pair {u,v}: sum over partial w of
     |Y_{w*,w}| / q, where w* is the endpoint whose pair to w is open."""
-    _require_full(ledger)
     if state.has_edge(u, v):
         raise ValueError("pair is an edge")
-    n = state.n
-    status = state.status
-    total = 0
-    for w in range(n):
-        if w == u or w == v:
-            continue
-        id1 = pair_index(n, u, w)
-        id2 = pair_index(n, v, w)
-        s1 = status[id1]
-        s2 = status[id2]
-        if s1 == OPEN and s2 == EDGE:
-            total += int(ledger.y[id1])
-        elif s1 == EDGE and s2 == OPEN:
-            total += int(ledger.y[id2])
+    s = state.S
+    total = (int(ledger.y[u, (s[u] == OPEN) & (s[v] == EDGE)].sum())
+             + int(ledger.y[v, (s[u] == EDGE) & (s[v] == OPEN)].sum()))
     return Fraction(total, ledger.q)
 
 
 def expected_partial_gain(ledger: PairLedger, u: int, v: int) -> Fraction:
     """Exact E[one-step gain of y] for pair {u,v}: 2 x / q."""
-    _require_full(ledger)
-    return Fraction(2 * int(ledger.x[pair_index(ledger.n, u, v)]), ledger.q)
+    return Fraction(2 * int(ledger.x[u, v]), ledger.q)
 
 
 def expected_q_drop(ledger: PairLedger, state: ProcessState) -> Fraction:
     """Exact E[Q(i) - Q(i+1)] = 1 + (sum of y over open pairs) / q."""
-    _require_full(ledger)
-    open_ids = np.nonzero(state.status == OPEN)[0]
-    return 1 + Fraction(int(ledger.y[open_ids].sum()), ledger.q)
+    # S and y are symmetric: every open pair is counted twice
+    return 1 + Fraction(int(ledger.y[state.S == OPEN].sum()) // 2, ledger.q)

@@ -9,15 +9,15 @@ process ends when no open pair remains.
 The graph state is one symmetric n x n uint8 matrix S of pair statuses,
 NO_PAIR on the diagonal; rows of S are the neighbourhoods, and closure is
 found from the two rows of the new edge's ends.  S costs n^2 bytes: 4 MB at
-n=2000, 100 MB at n=10^4.  Sampling uses a lazily compacted list of open
-pair codes u*n+v (u<v): a draw that lands on an entry which is no longer
-open is redrawn, and the list is compacted once fewer than half of its
-entries are open, so a step makes at most two draws on average.
+n=2000, 100 MB at n=10^4.  A pair {u,v} is addressed by (u, v) in S or by
+its flat code u*n+v in S.ravel(); each step reports the codes of the pairs
+it closed.  Sampling uses a lazily compacted list of open pair codes u*n+v
+(u<v): a draw that lands on an entry which is no longer open is redrawn, and
+the list is compacted once fewer than half of its entries are open, so a
+step makes at most two draws on average.
 """
 
 from __future__ import annotations
-
-import math
 
 import numpy as np
 
@@ -35,28 +35,9 @@ class ProcessTerminated(Exception):
     """Signals that no open pair remains.  Not a fault."""
 
 
-def pair_index(n: int, u: int, v: int) -> int:
-    """Flat index of the unordered pair {u,v} in the row-major upper triangle."""
-    if u > v:
-        u, v = v, u
-    return u * (2 * n - u - 1) // 2 + (v - u - 1)
-
-
-def pair_of(n: int, idx: int):
-    """Inverse of pair_index."""
-    # largest u with u*(2n-u-1)/2 <= idx
-    b = 2 * n - 1
-    u = (b - math.isqrt(b * b - 8 * idx)) // 2
-    while (u + 1) * (2 * n - u - 2) // 2 <= idx:
-        u += 1
-    while u * (2 * n - u - 1) // 2 > idx:
-        u -= 1
-    v = idx - u * (2 * n - u - 1) // 2 + u + 1
-    return u, v
-
-
 def _upper_codes(n: int) -> np.ndarray:
-    """Codes u*n+v of the pairs u < v, in pair_index order."""
+    """Codes u*n+v of the pairs u < v, in row-major order; this order fixes
+    which pair a draw from the open list picks."""
     cols = np.arange(n, dtype=np.int32)
     return np.concatenate([u * n + cols[u + 1:] for u in range(n)])
 
@@ -68,7 +49,7 @@ class StepOutcome:
 
     def __init__(self, edge, closed_ids, step):
         self.edge = edge
-        self.closed_ids = closed_ids  # np.ndarray of pair ids
+        self.closed_ids = closed_ids  # np.ndarray of codes a*n+b into S
         self.step = step              # step count after this step
 
 
@@ -97,19 +78,9 @@ class ProcessState:
         np.fill_diagonal(self.S, NO_PAIR)
         self.open_count = self.npairs
         self._open = _upper_codes(n)
-        self._flat = None  # _upper_codes(n), built on first use of status
         self.edge_log: list[tuple[int, int]] = []
 
     # ------------------------------------------------------------------ views
-
-    @property
-    def status(self) -> np.ndarray:
-        """Read-only flat upper triangle of S, in pair_index order."""
-        if self._flat is None:
-            self._flat = _upper_codes(self.n)
-        out = self.S.reshape(-1)[self._flat]
-        out.flags.writeable = False
-        return out
 
     def status_matrix(self) -> np.ndarray:
         """n x n matrix of pair statuses, NO_PAIR on the diagonal (read-only
@@ -123,21 +94,6 @@ class ProcessState:
 
     def has_edge(self, u: int, v: int) -> bool:
         return bool(self.S[u, v] == EDGE)
-
-    def degree(self, v: int) -> int:
-        return int(np.count_nonzero(self.S[v] == EDGE))
-
-    def neighbors(self, v: int) -> np.ndarray:
-        return np.flatnonzero(self.S[v] == EDGE)
-
-    def adjacency_sets(self):
-        return [set(np.flatnonzero(row == EDGE).tolist()) for row in self.S]
-
-    def max_degree(self) -> int:
-        return max(map(self.degree, range(self.n)))
-
-    def open_pair_ids(self) -> np.ndarray:
-        return np.flatnonzero(self.status == OPEN)
 
     # ------------------------------------------------------------------ probe
 
@@ -209,9 +165,7 @@ class ProcessState:
         S[u, v] = S[v, u] = EDGE
         a, b = (self._k3_newly_closed if self.rule == K3 else self._k4_newly_closed)(u, v)
         S[a, b] = S[b, a] = CLOSED
-        lo = np.minimum(a, b)
-        hi = np.maximum(a, b)
-        closed_ids = lo * (2 * n - lo - 1) // 2 + (hi - lo - 1)
+        closed_ids = a * n + b
         self.open_count -= 1 + len(closed_ids)
         self.steps += 1
         self.edge_log.append((u, v))

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from hfree.analysis import AlphaResult
-from hfree.process import EDGE, OPEN, ProcessState, pair_of
+from hfree.process import EDGE, OPEN, ProcessState
 from hfree.trajectory import BadEventReport, Violation, k3_envelope, k3_eval
 
 
@@ -20,6 +20,16 @@ def build_graph(n, rule, edges):
     for u, v in edges:
         force_edge(state, u, v)
     return state
+
+
+def adjacency_sets(S):
+    """Neighbour sets of the graph whose status matrix is S."""
+    return [set(np.flatnonzero(row == EDGE).tolist()) for row in S]
+
+
+def open_pairs(state):
+    """The open pairs (u, v), u < v, as rows of an array, in row-major order."""
+    return np.argwhere(np.triu(state.status_matrix() == OPEN, 1))
 
 
 def has_clique(adj, verts, order):
@@ -83,8 +93,9 @@ def sampled_counts_loop(state, pair_ids):
     y = np.zeros(k, dtype=np.int32)
     z = np.zeros(k, dtype=np.int32)
     nonedge = np.ones(k, dtype=bool)
+    upper_u, upper_v = np.triu_indices(state.n, 1)  # pair ids index these
     for i, pid in enumerate(np.asarray(pair_ids).tolist()):
-        u, v = pair_of(state.n, pid)
+        u, v = int(upper_u[pid]), int(upper_v[pid])
         if s[u, v] == EDGE:
             nonedge[i] = False
             continue

@@ -28,8 +28,9 @@ from hfree.ledger import (
     expected_q_drop,
     oracle_counts_matrix,
 )
-from hfree.process import CLOSED, EDGE, OPEN, ProcessState, pair_index, pair_of
+from hfree.process import CLOSED, EDGE, OPEN, ProcessState
 from hfree.trajectory import k3_ode_residual, k4_ode_residual
+from conftest import adjacency_sets, open_pairs
 
 
 @pytest.fixture
@@ -91,29 +92,28 @@ def test_criterion_1_and_2_oracle_equivalence(report):
             while st.open_count:
                 q_before = st.open_count
                 out = st.step(rng)
-                pid = pair_index(n, *out.edge)
-                y_choice = int(led.y[pid])
+                y_choice = int(led.y[out.edge])
                 if st.open_count != q_before - 1 - y_choice:
                     identity_failures += 1
                 led.apply_edge(out, st)
                 # ledger vs from-scratch counts, every non-edge pair
                 xm, ym, zm = oracle_counts_matrix(st)
                 iu = iu_cache[n]
-                nonedge = st.status != EDGE
-                if not (np.array_equal(led.x[nonedge], xm[iu][nonedge])
-                        and np.array_equal(led.y[nonedge], ym[iu][nonedge])
-                        and np.array_equal(led.z[nonedge], zm[iu][nonedge])):
+                status = st.status_matrix()[iu]
+                nonedge = status != EDGE
+                if not (np.array_equal(led.x[iu][nonedge], xm[iu][nonedge])
+                        and np.array_equal(led.y[iu][nonedge], ym[iu][nonedge])
+                        and np.array_equal(led.z[iu][nonedge], zm[iu][nonedge])):
                     mismatches += 1
                 # stored status vs closure recomputed from adjacency
                 closed = _closed_oracle_matrix(st)[iu]
-                if not np.array_equal(st.status == CLOSED,
-                                      closed & (st.status != EDGE)):
+                if not np.array_equal(status == CLOSED,
+                                      closed & (status != EDGE)):
                     mismatches += 1
                 # spot-check the probe itself
-                open_ids = st.open_pair_ids()
-                sample = open_ids[:: max(1, len(open_ids) // 5)]
-                for spid in sample.tolist():
-                    u, v = pair_of(n, spid)
+                opens = open_pairs(st)
+                sample = opens[:: max(1, len(opens) // 5)]
+                for u, v in sample.tolist():
                     if st.is_closed_probe(u, v):
                         mismatches += 1
     ok1 = report(1, "oracle equivalence", mismatches == 0,
@@ -183,12 +183,16 @@ def test_criterion_3_tiny_n_distribution(report):
 
 # ------------------------------------------------------------------ criterion 4
 
+def _pair(a, b):
+    return (a, b) if a < b else (b, a)
+
+
 def _one_step_table(st, target):
     """For every open pair e, the exact one-step effects on the target pair:
     (x_loss, y_loss, y_gain, q_drop)."""
     n = st.n
     u, v = target
-    adj = st.adjacency_sets()
+    adj = adjacency_sets(st.status_matrix())
     x_set, y_info = set(), {}
     for w in range(n):
         if w in (u, v):
@@ -198,27 +202,26 @@ def _one_step_table(st, target):
         if s1 == OPEN and s2 == OPEN:
             x_set.add(w)
         elif s1 == OPEN and s2 == EDGE:
-            y_info[w] = pair_index(n, u, w)
+            y_info[w] = _pair(u, w)
         elif s1 == EDGE and s2 == OPEN:
-            y_info[w] = pair_index(n, v, w)
+            y_info[w] = _pair(v, w)
     rows = []
-    for pid in st.open_pair_ids().tolist():
-        a, b = pair_of(n, pid)
+    for a, b in open_pairs(st).tolist():
         closed = set()
         for x, y in ((a, b), (b, a)):
             for w in adj[y]:
                 if w != x and st.status_of(x, w) == OPEN:
-                    closed.add(pair_index(n, x, w))
+                    closed.add(_pair(x, w))
         q_drop = 1 + len(closed)
         if {a, b} == {u, v}:
             rows.append((0, 0, 0, q_drop))  # target freezes
             continue
-        gone = closed | {pid}
+        gone = closed | {(a, b)}
         x_loss = sum(1 for w in x_set
-                     if pair_index(n, u, w) in gone or pair_index(n, v, w) in gone)
-        y_loss = sum(1 for w, wpid in y_info.items() if wpid in gone)
+                     if _pair(u, w) in gone or _pair(v, w) in gone)
+        y_loss = sum(1 for w, wpair in y_info.items() if wpair in gone)
         y_gain = sum(1 for w in x_set
-                     if pid in (pair_index(n, u, w), pair_index(n, v, w)))
+                     if (a, b) in (_pair(u, w), _pair(v, w)))
         rows.append((x_loss, y_loss, y_gain, q_drop))
     return np.asarray(rows, dtype=float)
 
@@ -236,11 +239,11 @@ def test_criterion_4_conditional_expectations(report):
         cap = int(rng.integers(0, st.npairs))
         while st.open_count and st.steps < cap:
             led.apply_edge(st.step(rng), st)
-        open_ids = st.open_pair_ids()
-        if len(open_ids) == 0:
+        opens = open_pairs(st)
+        if len(opens) == 0:
             continue
         audited += 1
-        target = pair_of(n, int(rng.choice(open_ids)))
+        target = tuple(rng.choice(opens).tolist())
         table = _one_step_table(st, target)
         expected = [float(expected_open_loss(led, st, *target)),
                     float(expected_partial_loss(led, st, *target)),

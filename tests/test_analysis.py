@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import independence_greedy_sets
+from conftest import adjacency_sets, independence_greedy_sets
 from hfree.analysis import (
     graph_from_edges,
     independence_exact,
@@ -91,7 +91,7 @@ def test_greedy_matches_set_oracle(rule, n, stop):
     for seed in (0, 1):
         got = independence_greedy(st.status_matrix() == EDGE,
                                   np.random.default_rng(seed), repeats=4)
-        want = independence_greedy_sets(n, st.adjacency_sets(),
+        want = independence_greedy_sets(n, adjacency_sets(st.status_matrix()),
                                         np.random.default_rng(seed), repeats=4)
         assert (got.value, got.witness) == (want.value, want.witness)
         assert all(type(v) is int for v in got.witness)

@@ -11,6 +11,7 @@ import numpy as np
 
 from hfree import analysis
 from hfree.analysis import graph_from_edges
+from hfree.process import K3, K4, ProcessState
 
 ROOT = Path(__file__).resolve().parent.parent
 BENCH = ROOT / "hfbench"
@@ -49,6 +50,18 @@ def test_timed_functions_resolve_and_tracer_round_trips():
         tracer.uninstall()
     assert all(getattr(owner, attr) is fn
                for (owner, attr), fn in zip(targets, originals))
+
+
+def test_closed_count_is_drop_in_open_pairs():
+    # the traced process.pairs_closed sums _closed_count over the steps
+    tracing = _tracing()
+    for rule, n in ((K3, 40), (K4, 30)):
+        state = ProcessState(n, rule)
+        rng = np.random.default_rng(n)
+        while state.open_count:
+            q_before = state.open_count
+            closed = tracing._closed_count(state.step(rng))
+            assert closed == q_before - state.open_count - 1
 
 
 def test_bench_selftest_passes():

@@ -86,13 +86,27 @@ def test_parse_config_overrides_and_errors():
                       ("process=K4\nn_list=20\nk4_witness_pairs = -3\n",
                        "k4_witness_pairs"),
                       ("process=K4\nn_list=20\nk4_witness_triples = -1\n",
-                       "k4_witness_triples")]:
+                       "k4_witness_triples"),
+                      ("process=K3\nn_list = 20, 70\nledger_mode = full\nn_ledger_max = 64\n",
+                       "n_ledger_max"),
+                      ("process=K3\nn_list=20\nmu = nan\nstop = paper\n", "mu"),
+                      ("process=K3\nn_list=20\nmu = inf\nstop = paper\n", "mu"),
+                      ("process=K3\nn_list=20\nbeta = nan\n", "beta"),
+                      ("process=K3\nn_list=20\ngamma = -inf\n", "gamma"),
+                      ("process=K3\nn_list=20\nrho = 0\n", "rho"),
+                      ("process=K3\nn_list=20\nworkers = 0\n", "workers"),
+                      ("process=K3\nn_list=20\nworkers = -2\n", "workers")]:
         with pytest.raises(ValueError, match=key):
             parse_config(text)
     # the smallest legal values still parse
     cfg = parse_config("process=K3\nn_list=20\ngreedy_repeats=1\nwitness_pairs=0\n"
                        "k4_witness_pairs=0\nk4_witness_triples=0\n")
     assert (cfg.greedy_repeats, cfg.witness_pairs) == (1, 0)
+    # the cap is the largest n that may run full; K4 never builds a ledger
+    assert parse_config("process=K3\nn_list=20, 64\nledger_mode=full\n"
+                        "n_ledger_max=64\n").n_ledger_max == 64
+    assert parse_config("process=K4\nn_list=20, 70\nledger_mode=full\n"
+                        "n_ledger_max=64\n").n_list == (20, 70)
     for stop in ("full", "paper", "t:0", "t:0.25", "steps:0", "steps:40"):
         assert parse_config("process=K3\nn_list=2\nstop=%s\n" % stop).stop == stop
 
@@ -118,10 +132,9 @@ def test_ledger_mode_resolution():
     cfg = ExperimentConfig(process="K3", n_list=(10,), ledger_mode="auto")
     assert resolve_ledger_mode(cfg, 50) == "full"
     assert resolve_ledger_mode(cfg, 500) == "sampled"
-    big = ExperimentConfig(process="K3", n_list=(10,), ledger_mode="full",
-                           n_ledger_max=100)
     with pytest.raises(ValueError):
-        resolve_ledger_mode(big, 500)
+        ExperimentConfig(process="K3", n_list=(500,), ledger_mode="full",
+                         n_ledger_max=100)
 
 
 def test_run_trial_record_shape():
@@ -156,7 +169,7 @@ def test_full_mode_snapshots_match_incremental_ledger():
                 snap = snaps.pop(step, None)
                 if snap is None:
                     continue
-                nonedge = st.status != EDGE
+                nonedge = np.triu(st.status_matrix() != EDGE, 1)
                 xs, ys, zs = led.x[nonedge], led.y[nonedge], led.z[nonedge]
                 rows = zip(np.flatnonzero(nonedge).tolist(), xs.tolist(),
                            ys.tolist(), zs.tolist())

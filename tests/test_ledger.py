@@ -6,7 +6,6 @@ import pytest
 
 from hfree.ledger import (
     FULL,
-    SAMPLED,
     PairCounts,
     PairLedger,
     expected_open_loss,
@@ -17,8 +16,8 @@ from hfree.ledger import (
     recompute_oracle,
     sampled_counts,
 )
-from hfree.process import EDGE, ProcessState, pair_index
-from conftest import build_graph, force_edge, sampled_counts_loop
+from hfree.process import EDGE, ProcessState
+from conftest import build_graph, force_edge, open_pairs, sampled_counts_loop
 
 
 def test_init_values():
@@ -31,15 +30,6 @@ def test_init_values():
     led2 = PairLedger(st2, FULL)
     assert led2.q == 1
     assert led2.counts(0, 1) == PairCounts(0, 0, 0)
-
-
-def test_init_sampled():
-    st = ProcessState(10, 3)
-    led = PairLedger(st, SAMPLED, witness_ids=[0, 3, 7, 11, 20])
-    assert len(led.witness_ids) == 5
-    assert led.counts(0, 1) == PairCounts(8, 0, 0)
-    with pytest.raises(KeyError):
-        led.counts(8, 9)
 
 
 def test_init_requires_fresh_state(rng):
@@ -108,7 +98,7 @@ def test_float32_oracle_matrix_at_n300():
     xm, ym, zm = oracle_counts_matrix(st)
     assert xm.dtype == ym.dtype == zm.dtype == np.int32
     u, v = np.triu_indices(n, 1)
-    nonedge = st.status != EDGE
+    nonedge = st.status_matrix()[u, v] != EDGE
     u, v = u[nonedge], v[nonedge]
     pick = np.random.default_rng(301)
     some = pick.choice(len(u), size=150, replace=False)
@@ -133,11 +123,39 @@ def test_frozen_pairs_keep_counts(rng):
     frozen = {}
     while st.open_count:
         out = st.step(rng)
-        pid = pair_index(st.n, *out.edge)
-        frozen[pid] = (int(led.x[pid]), int(led.y[pid]), int(led.z[pid]))
+        u, v = out.edge
+        frozen[u, v] = (int(led.x[u, v]), int(led.y[u, v]), int(led.z[u, v]))
         led.apply_edge(out, st)
-        for fpid, vals in frozen.items():
-            assert (int(led.x[fpid]), int(led.y[fpid]), int(led.z[fpid])) == vals
+        for (fu, fv), vals in frozen.items():
+            assert (int(led.x[fu, fv]), int(led.y[fu, fv]), int(led.z[fu, fv])) == vals
+
+
+@pytest.mark.parametrize("rule,n", [(3, 20), (4, 16)])
+def test_new_edge_freezes_at_pre_step_oracle(rule, n, rng):
+    # the counts a pair keeps once it is an edge are those of the state
+    # just before the step that added it
+    st = ProcessState(n, rule)
+    led = PairLedger(st, FULL)
+    while st.open_count:
+        xm, ym, zm = oracle_counts_matrix(st)
+        out = st.step(rng)
+        led.apply_edge(out, st)
+        u, v = out.edge
+        assert led.counts(u, v) == (xm[u, v], ym[u, v], zm[u, v])
+
+
+def test_counts_stay_symmetric(rng):
+    st = ProcessState(24, 3)
+    led = PairLedger(st, FULL)
+    while st.open_count:
+        led.apply_edge(st.step(rng), st)
+        for m in (led.x, led.y, led.z):
+            assert np.array_equal(m, m.T) and not np.diagonal(m).any()
+
+
+def test_only_full_mode():
+    with pytest.raises(ValueError):
+        PairLedger(ProcessState(10, 3), "sampled")
 
 
 def test_class_conservation(rng):
@@ -159,26 +177,10 @@ def test_q_drop_exact_identity(rng):
     while st.open_count:
         q_before = st.open_count
         out = st.step(rng)
-        pid = pair_index(st.n, *out.edge)
-        y_choice = int(led.y[pid])
+        y_choice = int(led.y[out.edge])
         assert st.open_count == q_before - 1 - y_choice
         assert len(out.closed_ids) == y_choice
         led.apply_edge(out, st)
-
-
-def test_sampled_recount(rng):
-    st = ProcessState(20, 3)
-    ids = np.random.default_rng(5).choice(st.npairs, size=30, replace=False)
-    led = PairLedger(st, SAMPLED, witness_ids=ids)
-    st.run(rng, stop=40)
-    nonedge = led.recount(st)
-    for k, pid in enumerate(led.witness_ids.tolist()):
-        if not nonedge[k]:
-            continue
-        from hfree.process import pair_of
-        u, v = pair_of(20, pid)
-        assert (int(led.x[k]), int(led.y[k]), int(led.z[k])) == \
-            tuple(recompute_oracle(st, u, v))
 
 
 def test_sampled_counts_marks_edges(rng):
@@ -187,14 +189,15 @@ def test_sampled_counts_marks_edges(rng):
     all_ids = np.arange(st.npairs)
     x, y, z, nonedge = sampled_counts(st, all_ids)
     assert np.count_nonzero(~nonedge) == 8
-    assert np.array_equal(~nonedge, st.status == EDGE)
+    assert np.array_equal(~nonedge, st.status_matrix()[np.triu_indices(10, 1)] == EDGE)
 
 
 @pytest.mark.parametrize("n,stop", [(5, 3), (30, 60), (200, 1500), (200, None)])
 def test_sampled_counts_match_loop(n, stop, rng):
     st = ProcessState(n, 3)
     st.run(rng, stop=stop)
-    edges = [pair_index(n, u, v) for u, v in st.edge_log[:10]]
+    # pair ids count the pairs u < v in row-major order
+    edges = np.flatnonzero(st.status_matrix()[np.triu_indices(n, 1)] == EDGE)[:10]
     drawn = np.random.default_rng(n).choice(st.npairs, size=min(50, st.npairs),
                                             replace=False)
     ids = np.unique(np.concatenate([drawn, edges, [0, st.npairs - 1]]))
@@ -239,15 +242,6 @@ def test_expected_q_drop_empty():
     assert expected_q_drop(led, st) == 1
 
 
-def test_expectations_need_full_mode():
-    st = ProcessState(10, 3)
-    led = PairLedger(st, SAMPLED, witness_ids=[0, 1])
-    with pytest.raises(ValueError):
-        expected_open_loss(led, st, 0, 1)
-    with pytest.raises(ValueError):
-        expected_q_drop(led, st)
-
-
 def test_partial_loss_sum_matches_q_drop(rng):
     # sum over open pairs of y/q equals E[q-drop] - 1
     st = ProcessState(12, 3)
@@ -255,7 +249,6 @@ def test_partial_loss_sum_matches_q_drop(rng):
     for _ in range(10):
         led.apply_edge(st.step(rng), st)
     total = Fraction(0)
-    from hfree.process import pair_of
-    for pid in st.open_pair_ids().tolist():
-        total += Fraction(int(led.y[pid]), led.q)
+    for u, v in open_pairs(st).tolist():
+        total += Fraction(int(led.y[u, v]), led.q)
     assert total == expected_q_drop(led, st) - 1

@@ -3,27 +3,16 @@ import itertools
 import numpy as np
 import pytest
 
+from hfree.analysis import max_degree
 from hfree.process import (
     CLOSED,
     EDGE,
+    NO_PAIR,
     OPEN,
     ProcessState,
     ProcessTerminated,
-    pair_index,
-    pair_of,
 )
-from conftest import build_graph, force_edge, has_clique
-
-
-def test_pair_index_roundtrip():
-    for n in (2, 3, 7, 40, 101):
-        seen = set()
-        for u, v in itertools.combinations(range(n), 2):
-            pid = pair_index(n, u, v)
-            assert pair_index(n, v, u) == pid
-            assert pair_of(n, pid) == (u, v)
-            seen.add(pid)
-        assert seen == set(range(n * (n - 1) // 2))
+from conftest import adjacency_sets, build_graph, force_edge, has_clique, open_pairs
 
 
 def test_bad_arguments():
@@ -37,46 +26,48 @@ def test_initial_state():
     st = ProcessState(6, 3)
     assert st.open_count == 15
     assert st.steps == 0
-    assert np.all(st.status == OPEN)
-    assert st.max_degree() == 0
+    S = st.status_matrix()
+    assert np.all(S[np.triu_indices(6, 1)] == OPEN)
+    assert max_degree(S == EDGE) == 0
 
 
 def _status_oracle(st):
     """Recompute every pair status from the adjacency alone."""
-    adj = st.adjacency_sets()
-    out = np.empty(st.npairs, dtype=np.uint8)
+    adj = adjacency_sets(st.status_matrix())
+    out = np.full((st.n, st.n), NO_PAIR, dtype=np.uint8)
     for u, v in itertools.combinations(range(st.n), 2):
-        pid = pair_index(st.n, u, v)
         if v in adj[u]:
-            out[pid] = EDGE
+            out[u, v] = out[v, u] = EDGE
         elif st.is_closed_probe(u, v):
-            out[pid] = CLOSED
+            out[u, v] = out[v, u] = CLOSED
         else:
-            out[pid] = OPEN
+            out[u, v] = out[v, u] = OPEN
     return out
 
 
 @pytest.mark.parametrize("rule,n", [(3, 18), (3, 30), (4, 14), (4, 24)])
 def test_invariants_through_run(rule, n, rng):
     st = ProcessState(n, rule)
-    prev = st.status.copy()
+    S = st.status_matrix()  # live view
+    upper = np.triu_indices(n, 1)
+    prev = S.copy()
     while st.open_count:
         out = st.step(rng)
         # partition
-        counts = np.bincount(st.status, minlength=3)
+        counts = np.bincount(S[upper], minlength=3)
         assert counts.sum() == st.npairs
         assert counts[OPEN] == st.open_count
         # monotonicity: closed never reopens, edges never change
-        assert not np.any((prev == CLOSED) & (st.status != CLOSED))
-        assert not np.any((prev == EDGE) & (st.status != EDGE))
+        assert not np.any((prev == CLOSED) & (S != CLOSED))
+        assert not np.any((prev == EDGE) & (S != EDGE))
         # closed pairs this step were open before
-        assert np.all(prev[out.closed_ids] == OPEN)
-        prev = st.status.copy()
+        assert np.all(prev.ravel()[out.closed_ids] == OPEN)
+        prev = S.copy()
         # full oracle equivalence from adjacency alone
-        assert np.array_equal(st.status, _status_oracle(st))
+        assert np.array_equal(S, _status_oracle(st))
     # termination: every non-edge is closed, graph is maximal clique-free
-    assert np.all(st.status != OPEN)
-    adj = st.adjacency_sets()
+    assert np.all(S != OPEN)
+    adj = adjacency_sets(S)
     assert not has_clique(adj, range(n), rule)
     for u, v in itertools.combinations(range(n), 2):
         if v not in adj[u]:
@@ -125,19 +116,44 @@ def test_probe_examples():
 def test_k3_closure_is_cherry_completion():
     st = build_graph(5, 3, [(0, 1)])
     out = force_edge(st, 1, 2)
-    assert [pair_of(5, int(i)) for i in out.closed_ids] == [(0, 2)]
+    assert [tuple(sorted(divmod(int(i), 5))) for i in out.closed_ids] == [(0, 2)]
     assert st.status_of(0, 2) == CLOSED
+
+
+@pytest.mark.parametrize("rule,n", [(3, 12), (3, 40), (4, 12), (4, 40)])
+def test_closed_ids_index_s(rule, n, rng):
+    # closed_ids are codes a*n+b into S: open before the step, closed after,
+    # and each closed pair is listed once
+    st = ProcessState(n, rule)
+    flat = st.status_matrix().ravel()
+    closed_any = 0
+    while st.open_count:
+        before = flat.copy()
+        q_before = st.open_count
+        out = st.step(rng)
+        assert out.closed_ids.dtype.kind == "i"
+        assert np.all(before[out.closed_ids] == OPEN)
+        assert np.all(flat[out.closed_ids] == CLOSED)
+        assert len(out.closed_ids) == q_before - st.open_count - 1
+        # every newly closed pair appears, once, on one side of the diagonal
+        u, v = np.divmod(out.closed_ids, n)
+        listed = set(zip(np.minimum(u, v).tolist(), np.maximum(u, v).tolist()))
+        newly_closed = np.count_nonzero((before == OPEN) & (flat == CLOSED)) // 2
+        assert len(listed) == len(out.closed_ids) == newly_closed
+        closed_any += len(out.closed_ids)
+    assert closed_any == st.npairs - st.steps
 
 
 def test_first_edge_uniform_chi_square():
     # n=3: each of the 3 possible first edges should be equally likely
     rng = np.random.default_rng(2024)
     counts = np.zeros(3)
+    pairs = [(0, 1), (0, 2), (1, 2)]
     trials = 3000
     for _ in range(trials):
         st = ProcessState(3, 3)
         out = st.step(rng)
-        counts[pair_index(3, *out.edge)] += 1
+        counts[pairs.index(out.edge)] += 1
     expect = trials / 3.0
     chi2 = float(((counts - expect) ** 2 / expect).sum())
     # chi-square 99% critical value, 2 degrees of freedom
@@ -147,13 +163,13 @@ def test_first_edge_uniform_chi_square():
 def _choose_chi2(st, rng, draws):
     """Chi-square statistic of `draws` choose() calls against the uniform
     law on the open pairs, and a 99.9% critical value (Wilson-Hilferty)."""
-    ids = st.open_pair_ids().tolist()
-    slot = {pid: k for k, pid in enumerate(ids)}
-    counts = np.zeros(len(ids))
+    pairs = open_pairs(st).tolist()
+    slot = {tuple(p): k for k, p in enumerate(pairs)}
+    counts = np.zeros(len(pairs))
     for _ in range(draws):
-        counts[slot[pair_index(st.n, *st.choose(rng))]] += 1
-    expect = draws / len(ids)
-    df = len(ids) - 1
+        counts[slot[st.choose(rng)]] += 1
+    expect = draws / len(pairs)
+    df = len(pairs) - 1
     crit = df * (1 - 2 / (9 * df) + 3.09 * (2 / (9 * df)) ** 0.5) ** 3
     return float(((counts - expect) ** 2 / expect).sum()), crit
 
