@@ -28,13 +28,10 @@ def main():
     print("n = %d, %d steps, t = %.3f" % (n, st.steps, t))
     print("Q = %d   q(t) n^2 = %.0f" % (st.open_count, q * n * n))
 
-    pairs = [tuple(sorted(rng.choice(n, size=2, replace=False))) for _ in range(40)]
-    triples = [tuple(sorted(rng.choice(n, size=3, replace=False))) for _ in range(40)]
-    sm = st.status_matrix()
-    x_obs = np.mean([k4_witness_counts(st, A, status_matrix=sm).x
-                     for A in pairs], axis=0)
-    y_obs = np.mean([k4_triple_counts(st, A, status_matrix=sm).y
-                     for A in triples], axis=0)
+    pairs = [rng.choice(n, size=2, replace=False) for _ in range(40)]
+    triples = [rng.choice(n, size=3, replace=False) for _ in range(40)]
+    x_obs = k4_witness_counts(st.status_matrix(), pairs)[0].mean(axis=0)
+    y_obs = k4_triple_counts(st.status_matrix(), triples)[0].mean(axis=0)
     print(" f   mean |X_{A,f}|   x_f(t) n^{2-2f/5}")
     for f in range(5):
         print("%2d  %13.1f   %15.1f" % (f, x_obs[f], xs[f] * n ** (2 - 0.4 * f)))

@@ -41,7 +41,7 @@ from .trajectory import (
     k4_eval,
     k4_ode_residual,
 )
-from .k4stats import K4TripleCounts, K4WitnessCounts, k4_triple_counts, k4_witness_counts
+from .k4stats import k4_triple_counts, k4_witness_counts
 from .concentration import (
     MartingaleSpec,
     TailBounds,

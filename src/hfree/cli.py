@@ -84,7 +84,11 @@ def cmd_verify(args) -> int:
     if config is None:
         print("records file has no config line", file=sys.stderr)
         return 1
-    cfg = harness.ExperimentConfig(**config)
+    try:  # a key this version lacks is a TypeError naming it
+        cfg = harness.ExperimentConfig(**config)
+    except (TypeError, ValueError) as exc:
+        print("records config does not build: %s" % exc, file=sys.stderr)
+        return 1
     if args.max_trials is not None:
         records = records[: args.max_trials]
     failures = 0

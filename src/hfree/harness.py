@@ -32,6 +32,8 @@ MASK64 = (1 << 64) - 1
 SEED_STRIDE = 0x9E3779B97F4A7C15  # odd constant for per-trial seed derivation
 # process, witness and greedy-alpha streams: SeedSequence(seed).spawn(3)
 RNG_NAME = "numpy.PCG64/SeedSequence.spawn3"
+# largest n a K3 config may run with ledger_mode = full (n x n counts per snapshot)
+N_LEDGER_MAX = 2000
 
 
 def mix64(x: int) -> int:
@@ -55,12 +57,8 @@ class ExperimentConfig:
     snapshot_stride: str | int = "auto"  # steps between snapshots
     ledger_mode: str = "auto"            # auto | full | sampled
     witness_pairs: int = 200
-    n_ledger_max: int = 2000
     stop: str = "full"                   # full | paper | t:<float> | steps:<int>
     mu: float = 1.0 / 32.0
-    beta: float = 0.5
-    gamma: float = 161.0
-    rho: float = 1.0 / 32.0
     k4_witness_pairs: int = 50
     k4_witness_triples: int = 50
     exact_alpha_cap: int = 60
@@ -75,8 +73,10 @@ class ExperimentConfig:
             raise ValueError("n_list must be nonempty")
         if len(set(self.n_list)) != len(self.n_list):
             raise ValueError("n_list repeats an n: %s" % (self.n_list,))
-        if min(self.n_list) < 2:
-            raise ValueError("n_list needs every n >= 2, got %s" % (self.n_list,))
+        n_min = 4 if self.process == "K4" else 2  # K4 witnesses need disjoint pairs
+        if min(self.n_list) < n_min:
+            raise ValueError("n_list needs every n >= %d for process %s, got %s"
+                             % (n_min, self.process, self.n_list))
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
         if self.greedy_repeats < 1:
@@ -94,17 +94,16 @@ class ExperimentConfig:
             raise ValueError("ledger_mode must be auto, full or sampled, got %r"
                              % (self.ledger_mode,))
         _stop_arg(self.stop)
-        for name in ("mu", "beta", "gamma", "rho"):
-            if not 0 < getattr(self, name) < math.inf:
-                raise ValueError("config key %s: must be finite and positive, got %r"
-                                 % (name, getattr(self, name)))
+        if not 0 < self.mu < math.inf:
+            raise ValueError("config key mu: must be finite and positive, got %r"
+                             % (self.mu,))
         if self.workers < 1:
             raise ValueError("config key workers: must be >= 1, got %d" % self.workers)
         if (self.process == "K3" and self.ledger_mode == ledger_mod.FULL
-                and max(self.n_list) > self.n_ledger_max):
-            raise ValueError("config key n_ledger_max: n=%d exceeds the full-ledger cap "
-                             "%d; raise it or use ledger_mode = sampled"
-                             % (max(self.n_list), self.n_ledger_max))
+                and max(self.n_list) > N_LEDGER_MAX):
+            raise ValueError("config key ledger_mode: full allows n <= %d, got n=%d; "
+                             "use ledger_mode = sampled"
+                             % (N_LEDGER_MAX, max(self.n_list)))
 
     @property
     def rule(self) -> int:
@@ -117,10 +116,9 @@ class ExperimentConfig:
 
 
 _LIST_KEYS = {"n_list"}
-_INT_KEYS = {"trials", "base_seed", "witness_pairs", "n_ledger_max",
-             "k4_witness_pairs", "k4_witness_triples", "exact_alpha_cap",
-             "greedy_repeats", "workers"}
-_FLOAT_KEYS = {"mu", "beta", "gamma", "rho"}
+_INT_KEYS = {"trials", "base_seed", "witness_pairs", "k4_witness_pairs",
+             "k4_witness_triples", "exact_alpha_cap", "greedy_repeats", "workers"}
+_FLOAT_KEYS = {"mu"}
 _STR_KEYS = {"process", "ledger_mode", "stop", "snapshot_stride"}
 
 
@@ -225,10 +223,7 @@ def _k3_snapshot(state, n, witness_ids):
         x, y, z, nonedge = ledger_mod.sampled_counts(state, witness_ids)
         labels = witness_ids[nonedge]
         xs, ys, zs = x[nonedge], y[nonedge], z[nonedge]
-    # only pairs flagged here can give violations; the rest are not listed
-    flagged = trajectory.k3_pair_flags(n, i, xs, ys, zs).any(axis=1)
-    pair_counts = zip(*(a[flagged].tolist() for a in (labels, xs, ys, zs)))
-    report = trajectory.k3_bad_event(n, i, state.open_count, pair_counts)
+    report = trajectory.k3_bad_event(n, i, state.open_count, labels, xs, ys, zs)
     return {
         "i": i,
         "t": t,
@@ -246,43 +241,42 @@ def _k3_snapshot(state, n, witness_ids):
 
 
 def _k4_snapshot(state, pairs, triples, n):
+    """Snapshot of Q and the mean witness counts of the pairs (k x 2) and
+    triples (k x 3) that are not frozen."""
     i = state.steps
     t = i / n ** 1.6
     q_pred, x_pred, y_pred = trajectory.k4_eval(t)
     sm = state.status_matrix()
-    live_pairs = []
-    for A in pairs:
-        wc = k4stats.k4_witness_counts(state, A, status_matrix=sm)
-        if not wc.frozen:
-            live_pairs.append((A, wc.x))
-    live_triples = []
-    for A in triples:
-        tc = k4stats.k4_triple_counts(state, A, status_matrix=sm)
-        if not tc.frozen:
-            live_triples.append((A, tc.y))
-    x_mean = (np.mean([c for _, c in live_pairs], axis=0).tolist()
-              if live_pairs else [0.0] * 5)
-    y_mean = (np.mean([c for _, c in live_triples], axis=0).tolist()
-              if live_triples else [0.0] * 4)
-    y3_max = max((int(c[3]) for _, c in live_triples), default=0)
+    x, frozen = k4stats.k4_witness_counts(sm, pairs)
+    pairs, x = pairs[~frozen], x[~frozen]
+    y, frozen = k4stats.k4_triple_counts(sm, triples)
+    triples, y = triples[~frozen], y[~frozen]
     report = trajectory.k4_bad_event(
         n, i, state.open_count,
-        [("%d-%d" % A, c) for A, c in live_pairs],
-        [("%d-%d-%d" % A, c) for A, c in live_triples])
+        [("%d-%d" % tuple(A), c) for A, c in zip(pairs.tolist(), x.tolist())],
+        [("%d-%d-%d" % tuple(A), c) for A, c in zip(triples.tolist(), y.tolist())])
     return {
         "i": i,
         "t": t,
         "Q": state.open_count,
         "q_pred": q_pred * n * n,
-        "x_mean": x_mean,
+        "x_mean": x.mean(axis=0).tolist() if len(x) else [0.0] * 5,
         "x_pred": [x_pred[f] * n ** (2.0 - 0.4 * f) for f in range(5)],
-        "y_mean": y_mean,
+        "y_mean": y.mean(axis=0).tolist() if len(y) else [0.0] * 4,
         "y_pred": [y_pred[f] * n ** (1.0 - 0.4 * f) for f in range(3)],
-        "y3_max": y3_max,
-        "witness_pairs": len(live_pairs),
-        "witness_triples": len(live_triples),
+        "y3_max": int(y[:, 3].max()) if len(y) else 0,
+        "witness_pairs": len(x),
+        "witness_triples": len(y),
         "violations": len(report.violations),
     }
+
+
+def _draw_vertex_sets(rng, n, size, count):
+    """count x size array of sorted vertex sets, each drawn without replacement."""
+    sets = np.array([rng.choice(n, size=size, replace=False) for _ in range(count)],
+                    dtype=np.intp).reshape(count, size)
+    sets.sort(axis=1)
+    return sets
 
 
 def run_trial(cfg: ExperimentConfig, n: int, trial: int, global_index: int):
@@ -302,11 +296,8 @@ def run_trial(cfg: ExperimentConfig, n: int, trial: int, global_index: int):
             k = min(cfg.witness_pairs, state.npairs)
             witness_ids = np.sort(witness_rng.choice(state.npairs, size=k, replace=False))
     else:
-        verts = np.arange(n)
-        k4_pairs = [tuple(sorted(witness_rng.choice(verts, size=2, replace=False).tolist()))
-                    for _ in range(cfg.k4_witness_pairs)]
-        k4_triples = [tuple(sorted(witness_rng.choice(verts, size=3, replace=False).tolist()))
-                      for _ in range(cfg.k4_witness_triples)]
+        k4_pairs = _draw_vertex_sets(witness_rng, n, 2, cfg.k4_witness_pairs)
+        k4_triples = _draw_vertex_sets(witness_rng, n, 3, cfg.k4_witness_triples)
 
     def snapshot():
         if rule == K3:

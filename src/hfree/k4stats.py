@@ -3,9 +3,9 @@
 For a pair A the counts x_f tally the pairs B disjoint from A with exactly f
 edges inside A ∪ B and no closed pair inside A ∪ B outside A itself; for a
 triple A the counts y_f tally vertices v with exactly f edges into A and no
-closed pair between v and A.  Both are brute-force enumerations over a
-snapshot (vectorized), recomputed for a sampled witness family at snapshot
-steps only; incremental maintenance of all of them would be O(n^4) state.
+closed pair between v and A.  Each function counts a whole witness family
+from the status matrix S in one pass, at snapshot steps only; incremental
+maintenance of all of them would be O(n^4) state.
 
 A pair's counts freeze once the pair is no longer open (the paper tracks
 X_{A,f} for open A only), a triple's once all pairs inside it are edges;
@@ -14,58 +14,60 @@ callers keep the last unfrozen value.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .process import CLOSED, EDGE, OPEN, ProcessState
+from .process import CLOSED, EDGE, OPEN
+
+# i + j for the 3 x 3 blocks of group pairs (i, j), flattened
+_GROUP_SUM = np.add.outer(np.arange(3), np.arange(3)).ravel()
 
 
-@dataclass
-class K4WitnessCounts:
-    A: tuple
-    x: np.ndarray  # length 5
-    frozen: bool
+def k4_witness_counts(S: np.ndarray, pairs):
+    """(x, frozen) for the pairs A = (a, b) in the rows of `pairs` (k x 2):
+    x[j, f] counts the pairs B for A by f, frozen[j] says A is not open.
 
-
-@dataclass
-class K4TripleCounts:
-    A: tuple
-    y: np.ndarray  # length 4
-    frozen: bool
-
-
-def k4_witness_counts(state: ProcessState, A, status_matrix=None) -> K4WitnessCounts:
-    """Count pairs B with |A ∪ B| = 4 by the number of edges inside A ∪ B,
-    excluding any B that brings a closed pair outside A."""
-    a, b = A
-    if state.n < 4:
+    A vertex with no closed pair into A is in group g, its number of edges
+    into A (the NO_PAIR diagonal drops a and b).  With G the n x 3k group
+    indicator, block j of G^T (S < CLOSED) G counts the ordered non-closed
+    pairs (c, d) between groups i and j, which land at f = i + j + e_ab if
+    open; block j of G^T (S == EDGE) G counts the edges, one f higher."""
+    n = len(S)
+    if n < 4:
         raise ValueError("need n >= 4")
-    frozen = state.status_of(a, b) != OPEN
-    s = state.status_matrix() if status_matrix is None else status_matrix
-    e = (s == EDGE).view(np.int8)
-    # edges from each candidate vertex into A, plus the candidates' own pair
-    into_a = e[a] + e[b]
-    f_mat = into_a[:, None] + into_a[None, :] + e + e[a, b]
-    # candidate ends: no closed pair into A (the NO_PAIR diagonal drops a, b);
-    # B itself must be a real non-closed pair, counted once per orientation
-    ok_vert = (s[a] < CLOSED) & (s[b] < CLOSED)
-    sel = ok_vert[:, None] & ok_vert[None, :] & (s < CLOSED)
-    counts = np.bincount(f_mat[sel], minlength=7)[:5].astype(np.int64) // 2
-    return K4WitnessCounts((a, b), counts, frozen)
+    pairs = np.asarray(pairs, dtype=np.intp).reshape(-1, 2)
+    k = len(pairs)
+    rows = S[pairs]  # k x 2 x n
+    ok = (rows < CLOSED).all(axis=1)
+    g = (rows == EDGE).sum(axis=1)
+    groups = (g[:, :, None] == np.arange(3)) & ok[:, :, None]  # k x n x 3
+    G = groups.transpose(1, 0, 2).reshape(n, 3 * k).astype(np.float32)
+    # float32 products are exact: every entry is an integer of at most n
+    blocks = []
+    for m in (S < CLOSED, S == EDGE):
+        mg = (m.astype(np.float32) @ G).reshape(n, k, 3).astype(np.int64)
+        # block entries reach n^2, past float32's exact integers for n > 4096
+        block = np.einsum("jvi,vjl->jil", groups, mg, optimize=True)
+        blocks.append(block.reshape(k, 9))
+    nonclosed, edges = blocks
+    a, b = pairs.T
+    f = _GROUP_SUM + (S[a, b] == EDGE)[:, None]  # e_ab shifts every f by one
+    x = np.zeros((k, 7), dtype=np.int64)
+    j = np.arange(k)[:, None]
+    np.add.at(x, (j, f), nonclosed - edges)
+    np.add.at(x, (j, f + 1), edges)
+    # every unordered B was counted as (c, d) and as (d, c)
+    return x[:, :5] // 2, S[a, b] != OPEN
 
 
-def k4_triple_counts(state: ProcessState, A, status_matrix=None) -> K4TripleCounts:
-    """Count vertices v by the number of edges in A x {v}, excluding any v
-    with a closed pair into A."""
-    a, b, c3 = A
-    frozen = (state.has_edge(a, b) and state.has_edge(a, c3)
-              and state.has_edge(b, c3))
-    s = state.status_matrix() if status_matrix is None else status_matrix
-    e = (s == EDGE)
-    cl = (s == CLOSED)
-    f_vec = e[a].astype(np.int8) + e[b].astype(np.int8) + e[c3].astype(np.int8)
-    ok = ~(cl[a] | cl[b] | cl[c3])
-    ok[[a, b, c3]] = False
-    counts = np.bincount(f_vec[ok], minlength=4)[:4].astype(np.int64)
-    return K4TripleCounts((a, b, c3), counts, frozen)
+def k4_triple_counts(S: np.ndarray, triples):
+    """(y, frozen) for the triples A in the rows of `triples` (k x 3):
+    y[j, f] counts the vertices v with f edges in A x {v} and no closed pair
+    into A; frozen[j] says all three pairs inside A are edges."""
+    triples = np.asarray(triples, dtype=np.intp).reshape(-1, 3)
+    rows = S[triples]  # k x 3 x n
+    # the NO_PAIR diagonal drops the vertices of A itself
+    ok = (rows < CLOSED).all(axis=1)
+    f = (rows == EDGE).sum(axis=1)
+    y = ((f[:, :, None] == np.arange(4)) & ok[:, :, None]).sum(axis=1, dtype=np.int64)
+    a, b, c = triples.T
+    return y, (S[a, b] == EDGE) & (S[a, c] == EDGE) & (S[b, c] == EDGE)

@@ -202,10 +202,11 @@ def k3_pair_flags(n: int, i: int, xs, ys, zs) -> np.ndarray:
     return flags
 
 
-def k3_bad_event(n: int, i: int, q_count: int, pair_counts=()) -> BadEventReport:
+def k3_bad_event(n: int, i: int, q_count: int, labels=(), xs=(), ys=(),
+                 zs=()) -> BadEventReport:
     """Check a snapshot against the deviation bands: |Q - q n^2| >= g_q n^2,
     |X| outside x n +- g_x n, |Y| outside y sqrt(n) +- g_y sqrt(n),
-    |Z| >= (ln n)^2.  pair_counts yields (label, x, y, z) per tracked pair;
+    |Z| >= (ln n)^2.  labels, xs, ys and zs hold one entry per tracked pair;
     violations come in that order, X, Y, Z within a pair."""
     t = i / n ** 1.5
     q, _, _ = k3_eval(t)
@@ -213,14 +214,13 @@ def k3_bad_event(n: int, i: int, q_count: int, pair_counts=()) -> BadEventReport
     rep = BadEventReport(step=i)
     if abs(q_count - q * n * n) >= g_q * n * n:
         rep.violations.append(Violation("Q", q_count, q * n * n, g_q * n * n))
-    rows = list(pair_counts)
-    if not rows:
-        return rep
-    labels, *counts = zip(*rows)
+    counts = (xs, ys, zs)
     centers, bands = _k3_pair_bands(n, t)
     for p, k in zip(*(a.tolist() for a in np.nonzero(k3_pair_flags(n, i, *counts)))):
+        # .item() makes a numpy count a Python number
         rep.violations.append(Violation("%s %s" % ("XYZ"[k], labels[p]),
-                                        counts[k][p], centers[k], bands[k]))
+                                        np.asarray(counts[k][p]).item(),
+                                        centers[k], bands[k]))
     return rep
 
 

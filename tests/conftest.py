@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from hfree.analysis import AlphaResult
-from hfree.process import EDGE, OPEN, ProcessState
+from hfree.process import CLOSED, EDGE, OPEN, ProcessState
 from hfree.trajectory import BadEventReport, Violation, k3_envelope, k3_eval
 
 
@@ -105,6 +105,33 @@ def sampled_counts_loop(state, pair_ids):
         y[i] = np.count_nonzero((uo & ve) | (ue & vo))
         z[i] = np.count_nonzero(ue & ve)
     return x, y, z, nonedge
+
+
+def k4_witness_counts_pair(S, A):
+    """Reference for k4stats.k4_witness_counts: (x, frozen) of one pair A
+    from one n x n pass over S."""
+    a, b = A
+    e = (S == EDGE).view(np.int8)
+    # edges from each candidate vertex into A, plus the candidates' own pair
+    into_a = e[a] + e[b]
+    f_mat = into_a[:, None] + into_a[None, :] + e + e[a, b]
+    # candidate ends: no closed pair into A (the NO_PAIR diagonal drops a, b);
+    # B itself must be a real non-closed pair, counted once per orientation
+    ok_vert = (S[a] < CLOSED) & (S[b] < CLOSED)
+    sel = ok_vert[:, None] & ok_vert[None, :] & (S < CLOSED)
+    counts = np.bincount(f_mat[sel], minlength=7)[:5].astype(np.int64) // 2
+    return counts, S[a, b] != OPEN
+
+
+def k4_triple_counts_one(S, A):
+    """Reference for k4stats.k4_triple_counts: (y, frozen) of one triple A."""
+    a, b, c = A
+    e = S == EDGE
+    f_vec = e[a].astype(np.int8) + e[b].astype(np.int8) + e[c].astype(np.int8)
+    ok = ~((S[a] == CLOSED) | (S[b] == CLOSED) | (S[c] == CLOSED))
+    ok[[a, b, c]] = False
+    counts = np.bincount(f_vec[ok], minlength=4)[:4].astype(np.int64)
+    return counts, bool(e[a, b] and e[a, c] and e[b, c])
 
 
 @pytest.fixture

@@ -87,13 +87,12 @@ def test_parse_config_overrides_and_errors():
                        "k4_witness_pairs"),
                       ("process=K4\nn_list=20\nk4_witness_triples = -1\n",
                        "k4_witness_triples"),
-                      ("process=K3\nn_list = 20, 70\nledger_mode = full\nn_ledger_max = 64\n",
-                       "n_ledger_max"),
+                      ("process=K3\nn_list = 20, 2001\nledger_mode = full\n",
+                       "ledger_mode"),
+                      ("process=K4\nn_list = 20, 3\n", "n_list"),
+                      ("process=K4\nn_list = 2\n", "n_list"),
                       ("process=K3\nn_list=20\nmu = nan\nstop = paper\n", "mu"),
                       ("process=K3\nn_list=20\nmu = inf\nstop = paper\n", "mu"),
-                      ("process=K3\nn_list=20\nbeta = nan\n", "beta"),
-                      ("process=K3\nn_list=20\ngamma = -inf\n", "gamma"),
-                      ("process=K3\nn_list=20\nrho = 0\n", "rho"),
                       ("process=K3\nn_list=20\nworkers = 0\n", "workers"),
                       ("process=K3\nn_list=20\nworkers = -2\n", "workers")]:
         with pytest.raises(ValueError, match=key):
@@ -103,10 +102,13 @@ def test_parse_config_overrides_and_errors():
                        "k4_witness_pairs=0\nk4_witness_triples=0\n")
     assert (cfg.greedy_repeats, cfg.witness_pairs) == (1, 0)
     # the cap is the largest n that may run full; K4 never builds a ledger
-    assert parse_config("process=K3\nn_list=20, 64\nledger_mode=full\n"
-                        "n_ledger_max=64\n").n_ledger_max == 64
-    assert parse_config("process=K4\nn_list=20, 70\nledger_mode=full\n"
-                        "n_ledger_max=64\n").n_list == (20, 70)
+    assert parse_config("process=K3\nn_list=20, %d\nledger_mode=full\n"
+                        % harness.N_LEDGER_MAX).n_list == (20, harness.N_LEDGER_MAX)
+    big = harness.N_LEDGER_MAX + 1
+    assert parse_config("process=K4\nn_list=20, %d\nledger_mode=full\n"
+                        % big).n_list == (20, big)
+    # the smallest n a K4 config may list
+    assert parse_config("process=K4\nn_list=4\n").n_list == (4,)
     for stop in ("full", "paper", "t:0", "t:0.25", "steps:0", "steps:40"):
         assert parse_config("process=K3\nn_list=2\nstop=%s\n" % stop).stop == stop
 
@@ -133,8 +135,8 @@ def test_ledger_mode_resolution():
     assert resolve_ledger_mode(cfg, 50) == "full"
     assert resolve_ledger_mode(cfg, 500) == "sampled"
     with pytest.raises(ValueError):
-        ExperimentConfig(process="K3", n_list=(500,), ledger_mode="full",
-                         n_ledger_max=100)
+        ExperimentConfig(process="K3", n_list=(harness.N_LEDGER_MAX + 1,),
+                         ledger_mode="full")
 
 
 def test_run_trial_record_shape():
@@ -268,6 +270,23 @@ def test_cli_end_to_end(tmp_path, capsys):
                    "--a", "30"])
     assert rc == 0
     assert "submartingale" in capsys.readouterr().out
+
+
+def test_verify_rejects_config_it_cannot_build(tmp_path, capsys):
+    # records whose config line holds a key this version does not know, or a
+    # value it rejects, fail with one line naming the key, not a traceback
+    cfg = ExperimentConfig(process="K3", n_list=(10,), base_seed=3)
+    run_experiment(cfg, tmp_path / "ok")
+    lines = (tmp_path / "ok" / "records.jsonl").read_text().splitlines()
+    for name, change in [("beta", {"beta": 0.5}),
+                         ("n_list", {"process": "K4", "n_list": [3]})]:
+        config = dict(json.loads(lines[0])["config"], **change)
+        path = tmp_path / (name + ".jsonl")
+        path.write_text("\n".join([json.dumps({"config": config})] + lines[1:]) + "\n")
+        assert cli.main(["verify", "--records", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1 and name in captured.err
 
 
 def test_cli_seed_override(tmp_path):

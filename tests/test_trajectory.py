@@ -11,7 +11,6 @@ from hfree.trajectory import (
     k3_envelope_f,
     k3_eval,
     k3_ode_residual,
-    k3_pair_flags,
     k4_bad_event,
     k4_envelope,
     k4_envelope_f,
@@ -136,8 +135,7 @@ def test_k4_envelope_piecewise():
 
 def test_k3_bad_event_step_zero():
     n = 100
-    rep = k3_bad_event(n, 0, n * (n - 1) // 2 - 0,
-                       [(0, n - 2, 0, 0)])
+    rep = k3_bad_event(n, 0, n * (n - 1) // 2 - 0, [0], [n - 2], [0], [0])
     # Q at step 0 is C(n,2) = 4950, center 0.5 n^2 = 5000; deviation 50
     # well inside g_q n^2 = n^{11/6}
     assert not rep
@@ -158,7 +156,7 @@ def test_k3_bad_event_z_cap():
     n = 1000
     q, _, _ = k3_eval(0.0)
     zbig = int(math.log(n) ** 2) + 1
-    rep = k3_bad_event(n, 0, n * (n - 1) // 2, [("p", n - 2, 0, zbig)])
+    rep = k3_bad_event(n, 0, n * (n - 1) // 2, ["p"], [n - 2], [0], [zbig])
     assert any(v.name.startswith("Z") for v in rep.violations)
 
 
@@ -187,21 +185,19 @@ def test_k3_bad_event_matches_scalar_reference():
         rows += list(zip(range(k), xs, ys, zs))
         rng.shuffle(rows)
         q_count = int(rng.integers(0, n * (n - 1) // 2 + 1))
-        fast = k3_bad_event(n, i, q_count, iter(rows))
+        labels, *counts = zip(*rows)
+        fast = k3_bad_event(n, i, q_count, labels, *counts)
         ref = k3_bad_event_scalar(n, i, q_count, rows)
         assert fast == ref
         assert len(ref.violations) > 10 and fast.step == i
-        # the rows k3_pair_flags passes carry every pair violation
-        labels, *counts = zip(*rows)
-        keep = k3_pair_flags(n, i, *(np.array(c) for c in counts)).any(axis=1)
-        kept = [r for r, f in zip(rows, keep) if f]
-        assert len(kept) < len(rows)
-        assert k3_bad_event(n, i, q_count, kept) == ref
+        # integer count arrays report Python ints
+        ints = k3_bad_event(n, i, q_count, np.arange(k), *map(np.array, (xs, ys, zs)))
+        assert ints.violations and all(type(v.observed) is int for v in ints.violations)
         # edge rows in both flagged and unflagged states
         names = {v.name for v in ref.violations}
         assert any(name.startswith("X ('e'") for name in names)
         assert "Z z=" in names and "Z z-" not in names
-    assert k3_bad_event(60, 0, 1770, []) == k3_bad_event_scalar(60, 0, 1770)
+    assert k3_bad_event(60, 0, 1770) == k3_bad_event_scalar(60, 0, 1770)
 
 
 def test_k4_bad_event_step_zero():
