@@ -55,7 +55,11 @@ def _add_bounds(sub):
 def cmd_run(args) -> int:
     overrides = {"base_seed": args.seed, "workers": args.workers,
                  "trials": args.trials}
-    cfg = harness.load_config(args.config, overrides)
+    try:
+        cfg = harness.load_config(args.config, overrides)
+    except (OSError, ValueError) as exc:
+        print("bad config %s: %s" % (args.config, exc), file=sys.stderr)
+        return 1
     records = harness.run_experiment(cfg, args.out, edge_logs=args.edge_logs)
     done = sum(1 for r in records if r["completed"])
     print("wrote %d records to %s (%d ran to completion)"
@@ -91,6 +95,13 @@ def cmd_verify(args) -> int:
         return 1
     if args.max_trials is not None:
         records = records[: args.max_trials]
+    rng_name = harness.RNG_NAMES[cfg.process]
+    older = sorted({str(rec.get("rng")) for rec in records} - {rng_name})
+    if older:
+        print("records were drawn with generator %s; this version draws %s with %s "
+              "and cannot replay them" % (", ".join(older), cfg.process, rng_name),
+              file=sys.stderr)
+        return 1
     failures = 0
     for idx, rec in enumerate(records):
         fresh, _ = harness.run_trial(cfg, rec["n"], rec["trial"], _global_index(cfg, rec))

@@ -30,8 +30,11 @@ from .process import EDGE, K3, K4, ProcessState
 
 MASK64 = (1 << 64) - 1
 SEED_STRIDE = 0x9E3779B97F4A7C15  # odd constant for per-trial seed derivation
-# process, witness and greedy-alpha streams: SeedSequence(seed).spawn(3)
-RNG_NAME = "numpy.PCG64/SeedSequence.spawn3"
+# the generator each process's records name: SeedSequence(seed).spawn(3) gives
+# the process, witness and greedy-alpha streams, and the K3 process draws its
+# open-list codes in blocks of process.BLOCK
+RNG_NAMES = {"K3": "numpy.PCG64/SeedSequence.spawn3/K3-block64",
+             "K4": "numpy.PCG64/SeedSequence.spawn3"}
 # largest n a K3 config may run with ledger_mode = full (n x n counts per snapshot)
 N_LEDGER_MAX = 2000
 
@@ -307,7 +310,8 @@ def run_trial(cfg: ExperimentConfig, n: int, trial: int, global_index: int):
 
     snapshot()
     while state.open_count and (stop is None or state.steps < stop):
-        state.step(rng)
+        left = stride - state.steps % stride
+        state.advance(rng, left if stop is None else min(left, stop - state.steps))
         if state.steps % stride == 0:
             snapshot()
     if snapshots[-1]["i"] != state.steps:
@@ -332,7 +336,7 @@ def run_trial(cfg: ExperimentConfig, n: int, trial: int, global_index: int):
         "rule": cfg.process,
         "trial": trial,
         "seed": seed,
-        "rng": RNG_NAME,
+        "rng": RNG_NAMES[cfg.process],
         "steps": state.steps,
         "completed": completed,
         "M": state.steps if completed else None,

@@ -15,6 +15,18 @@ it closed.  Sampling uses a lazily compacted list of open pair codes u*n+v
 (u<v): a draw that lands on an entry which is no longer open is redrawn, and
 the list is compacted once fewer than half of its entries are open, so a
 step makes at most two draws on average.
+
+`advance` runs many steps.  Under the K3 rule it draws BLOCK codes from the
+open list with one rng call, drops those no longer open, and adds the
+longest run of the rest whose pairs share no vertex as one batch, with one
+set of row operations on S: a K3 pair closes only through a new edge at one
+of its ends, so each pair of the run is still open at its turn, and the
+batch closes what its steps would close one at a time.  The codes after the
+run are kept, in order, in `_pending`, and the next batch or `choose` takes
+them first; a new block is drawn, and the list compacted, only once they are
+used up.  So the edges depend on the seed alone, not on where a caller caps
+the steps.  Under the K4 rule a new edge away from a pair can close it, so
+K4 steps stay one at a time.
 """
 
 from __future__ import annotations
@@ -29,6 +41,8 @@ EDGE = 1
 CLOSED = 2
 # sentinel used on the diagonal of status matrices; never a real pair status
 NO_PAIR = 3
+# open-list codes `advance` draws per rng call, once the carried ones are used up
+BLOCK = 64
 
 
 class ProcessTerminated(Exception):
@@ -78,6 +92,7 @@ class ProcessState:
         np.fill_diagonal(self.S, NO_PAIR)
         self.open_count = self.npairs
         self._open = _upper_codes(n)
+        self._pending = self._open[:0]  # drawn codes not yet used, in draw order
         self.edge_log: list[tuple[int, int]] = []
 
     # ------------------------------------------------------------------ views
@@ -138,17 +153,29 @@ class ProcessState:
                 ws.append(b)
         return np.concatenate(ends), np.concatenate(ws)
 
+    def _open_list(self) -> np.ndarray:
+        """The open list, compacted first if fewer than half of it is open."""
+        lst = self._open
+        if 2 * self.open_count < len(lst):
+            live = lst[self.S.reshape(-1)[lst] == OPEN]
+            lst[:len(live)] = live
+            self._open = lst = lst[:len(live)]
+        return lst
+
     def choose(self, rng):
-        """A uniformly random open pair (u, v), u < v; one rng.integers draw
-        per try."""
+        """A uniformly random open pair (u, v), u < v: the first still-open
+        code carried over from `advance`, else one rng.integers draw per try."""
         if self.open_count == 0:
             raise ProcessTerminated("no open pairs at step %d" % self.steps)
         flat = self.S.reshape(-1)
-        lst = self._open
-        if 2 * self.open_count < len(lst):
-            live = lst[flat[lst] == OPEN]
-            lst[:len(live)] = live
-            self._open = lst = lst[:len(live)]
+        if len(self._pending):
+            live = np.flatnonzero(flat[self._pending] == OPEN)
+            if len(live):
+                code = int(self._pending[live[0]])
+                self._pending = self._pending[live[0] + 1:]
+                return divmod(code, self.n)
+            self._pending = self._pending[:0]
+        lst = self._open_list()
         while True:
             code = int(lst[int(rng.integers(len(lst)))])
             if flat[code] == OPEN:
@@ -175,9 +202,57 @@ class ProcessState:
         """Add one uniformly random open pair; close what it forbids."""
         return self.add_edge(*self.choose(rng))
 
+    def _add_k3_batch(self, us, vs):
+        """Add the open pairs {us[i], vs[i]}, no two sharing a vertex, and
+        close {u_i, w} for w ~ v_i and {v_i, w} for w ~ u_i, read from the 2k
+        rows of the ends once the edges are in."""
+        n, S, k = self.n, self.S, len(us)
+        S[us, vs] = S[vs, us] = EDGE
+        ends = np.concatenate([us, vs])
+        rows = S[ends]
+        edge = rows == EDGE
+        mask = rows == OPEN
+        mask[:k] &= edge[k:]
+        mask[k:] &= edge[:k]
+        side, w = np.divmod(mask.ravel().nonzero()[0], n)
+        a = ends[side]
+        S[a, w] = S[w, a] = CLOSED
+        # a pair of two batch ends, {u_i, v_j} say, can be closed from both
+        both = mask[:, ends]
+        self.open_count -= k + len(w) - int(np.count_nonzero(both & both.T)) // 2
+        self.steps += k
+        self.edge_log.extend(zip(us.tolist(), vs.tolist()))
+
+    def advance(self, rng, max_steps: int | None = None) -> int:
+        """Add up to max_steps uniformly random open pairs (no cap: until no
+        open pair remains); returns the number added.  The same rng gives the
+        same edges however the steps are split between calls."""
+        start = self.steps
+        end = start + (self.npairs if max_steps is None else max_steps)
+        if self.rule == K4:
+            while self.open_count and self.steps < end:
+                self.step(rng)
+            return self.steps - start
+        flat = self.S.reshape(-1)
+        while self.open_count and self.steps < end:
+            codes = self._pending
+            if not len(codes):
+                lst = self._open_list()
+                codes = lst[rng.integers(len(lst), size=BLOCK)]
+            codes = codes[flat[codes] == OPEN]
+            us, vs = np.divmod(codes, self.n)
+            # the run ends at the first pair with an end seen earlier in it
+            ends = np.stack([us, vs], axis=1).ravel()
+            order = np.argsort(ends, kind="stable")
+            sorted_ends = ends[order]
+            again = order[1:][sorted_ends[1:] == sorted_ends[:-1]]
+            k = min(int(again.min()) // 2 if len(again) else len(codes), end - self.steps)
+            self._pending = codes[k:]
+            self._add_k3_batch(us[:k], vs[:k])
+        return self.steps - start
+
     def run(self, rng, stop: int | None = None) -> RunResult:
         """Run until no open pair remains (or a step cap, applied between
         steps).  With no cap the final graph is maximal H-free."""
-        while self.open_count and (stop is None or self.steps < stop):
-            self.step(rng)
+        self.advance(rng, None if stop is None else stop - self.steps)
         return RunResult(self.steps, self, self.open_count == 0)

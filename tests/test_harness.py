@@ -144,7 +144,7 @@ def test_run_trial_record_shape():
     rec, _ = run_trial(cfg, 20, 0, 0)
     assert rec["run_id"] == "n20-t0"
     assert rec["completed"] and rec["M"] == rec["steps"]
-    assert rec["rng"] == harness.RNG_NAME
+    assert rec["rng"] == harness.RNG_NAMES["K3"]
     assert rec["snapshots"][0]["i"] == 0
     assert rec["snapshots"][0]["Q"] == 190
     assert rec["snapshots"][-1]["i"] == rec["steps"]
@@ -181,6 +181,20 @@ def test_full_mode_snapshots_match_incremental_ledger():
                     int(xs.max()), int(ys.max()), int(zs.max()),
                     float(xs.mean()), float(ys.mean()), len(report.violations))
             assert not snaps and len(rec["snapshots"]) > 10
+
+
+def test_k3_edge_log_does_not_depend_on_snapshot_stride():
+    # advance stops at every snapshot and carries its unused draws over, so
+    # the edges depend on the seed alone
+    for n, seed in ((40, 5), (40, 6), (100, 7)):
+        logs = []
+        for stride in (1, "auto", 13):
+            cfg = ExperimentConfig(process="K3", n_list=(n,), base_seed=seed,
+                                   snapshot_stride=stride, witness_pairs=20)
+            rec, edge_log = run_trial(cfg, n, 0, 0)
+            assert rec["completed"] and len(edge_log) == rec["M"]
+            logs.append(edge_log)
+        assert logs[0] == logs[1] == logs[2]
 
 
 def test_run_trial_k4_record():
@@ -287,6 +301,35 @@ def test_verify_rejects_config_it_cannot_build(tmp_path, capsys):
         captured = capsys.readouterr()
         assert captured.out == ""
         assert len(captured.err.splitlines()) == 1 and name in captured.err
+
+
+def test_run_rejects_bad_config_in_one_line(tmp_path, capsys):
+    # a value the config rejects names its key; a missing file names the file
+    (tmp_path / "bad.cfg").write_text("process = K4\nn_list = 3\n")
+    for name, key in (("bad.cfg", "n_list"), ("missing.cfg", "missing.cfg")):
+        rc = cli.main(["run", "--config", str(tmp_path / name),
+                       "--out", str(tmp_path / "out")])
+        captured = capsys.readouterr()
+        assert rc == 1 and captured.out == ""
+        assert len(captured.err.splitlines()) == 1 and key in captured.err
+    assert not (tmp_path / "out").exists()
+
+
+def test_verify_rejects_records_of_an_older_generator(tmp_path, capsys):
+    # records drawn with another generator cannot be replayed: one line
+    # naming both generators, not one FAIL per record
+    cfg = ExperimentConfig(process="K3", n_list=(10,), trials=2, base_seed=3)
+    run_experiment(cfg, tmp_path / "ok")
+    lines = (tmp_path / "ok" / "records.jsonl").read_text().splitlines()
+    old = "numpy.PCG64/SeedSequence.spawn3"
+    path = tmp_path / "old.jsonl"
+    path.write_text("\n".join(lines[:1] + [json.dumps(dict(json.loads(line), rng=old))
+                                            for line in lines[1:]]) + "\n")
+    assert cli.main(["verify", "--records", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert old in captured.err and harness.RNG_NAMES["K3"] in captured.err
 
 
 def test_cli_seed_override(tmp_path):

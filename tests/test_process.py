@@ -7,6 +7,8 @@ from hfree.analysis import max_degree
 from hfree.process import (
     CLOSED,
     EDGE,
+    K3,
+    K4,
     NO_PAIR,
     OPEN,
     ProcessState,
@@ -160,18 +162,23 @@ def test_first_edge_uniform_chi_square():
     assert chi2 < 9.21
 
 
+def _uniform_chi2(counts):
+    """Chi-square statistic of `counts` against the uniform law on its
+    cells, and a 99.9% critical value (Wilson-Hilferty)."""
+    expect = counts.sum() / len(counts)
+    df = len(counts) - 1
+    crit = df * (1 - 2 / (9 * df) + 3.09 * (2 / (9 * df)) ** 0.5) ** 3
+    return float(((counts - expect) ** 2 / expect).sum()), crit
+
+
 def _choose_chi2(st, rng, draws):
-    """Chi-square statistic of `draws` choose() calls against the uniform
-    law on the open pairs, and a 99.9% critical value (Wilson-Hilferty)."""
+    """_uniform_chi2 of `draws` choose() calls over the open pairs."""
     pairs = open_pairs(st).tolist()
     slot = {tuple(p): k for k, p in enumerate(pairs)}
     counts = np.zeros(len(pairs))
     for _ in range(draws):
         counts[slot[st.choose(rng)]] += 1
-    expect = draws / len(pairs)
-    df = len(pairs) - 1
-    crit = df * (1 - 2 / (9 * df) + 3.09 * (2 / (9 * df)) ** 0.5) ** 3
-    return float(((counts - expect) ** 2 / expect).sum()), crit
+    return _uniform_chi2(counts)
 
 
 def test_choose_uniform_over_open_pairs(rng):
@@ -222,3 +229,109 @@ def test_status_matrix_symmetry(rng):
     assert np.array_equal(m, m.T)
     for u, v in itertools.combinations(range(10), 2):
         assert m[u, v] == st.status_of(u, v)
+
+
+class RecordingRng:
+    """Generator that records, in draw order, the open-list codes its draws
+    pick for `state`, so the run can be replayed one add_edge at a time."""
+
+    def __init__(self, state, seed):
+        self.state = state
+        self.codes = []
+        self._gen = np.random.default_rng(seed)
+
+    def integers(self, high, size=None):
+        idx = self._gen.integers(high, size=size)
+        self.codes += np.atleast_1d(self.state._open[idx]).tolist()
+        return idx
+
+
+def _replay(n, codes, steps):
+    """The K3 process driven by a code stream one add_edge at a time: each
+    code still open at its turn is added, until `steps` edges are in."""
+    st = ProcessState(n, K3)
+    flat = st.status_matrix().ravel()
+    for code in codes:
+        if st.steps == steps:
+            break
+        if flat[code] == OPEN:
+            st.add_edge(*divmod(code, n))
+    return st
+
+
+def _assert_same_run(st, ref):
+    assert st.edge_log == ref.edge_log
+    assert np.array_equal(st.status_matrix(), ref.status_matrix())
+    assert st.open_count == ref.open_count == len(open_pairs(st))
+
+
+@pytest.mark.parametrize("cap", [1, 7, None])
+@pytest.mark.parametrize("n", [10, 30, 100, 300])
+def test_advance_equals_one_at_a_time_on_same_codes(n, cap):
+    for seed in range(3):
+        st = ProcessState(n, K3)
+        rng = RecordingRng(st, seed)
+        while st.open_count:
+            before = st.steps
+            taken = st.advance(rng, cap)
+            assert taken == st.steps - before > 0
+            assert taken == cap or st.open_count == 0
+        _assert_same_run(st, _replay(n, rng.codes, st.steps))
+
+
+def test_step_after_capped_advance_is_exact():
+    # step takes the codes a capped advance left over before drawing anew
+    for n, seed in ((30, 0), (100, 1), (300, 2)):
+        st = ProcessState(n, K3)
+        rng = RecordingRng(st, seed)
+        carried = 0
+        while st.open_count:
+            st.advance(rng, 7)
+            if st.open_count:
+                carried += len(st._pending) > 0
+                out = st.step(rng)
+                assert out.edge == st.edge_log[-1]
+        assert carried
+        _assert_same_run(st, _replay(n, rng.codes, st.steps))
+
+
+def test_k4_advance_is_steps():
+    a, b = ProcessState(40, K4), ProcessState(40, K4)
+    ra, rb = np.random.default_rng(9), np.random.default_rng(9)
+    assert a.advance(ra, 100) == 100
+    a.advance(ra)
+    while b.open_count:
+        b.step(rb)
+    assert a.edge_log == b.edge_log and np.array_equal(a.S, b.S)
+
+
+def test_first_pairs_through_advance_uniform():
+    # at n=5 the first edge closes nothing, so the first two edges are a
+    # uniform ordered pair of distinct pairs; a drawn code dropped instead of
+    # carried over would bias the second edge away from the first one's ends
+    pairs = [tuple(p) for p in itertools.combinations(range(5), 2)]
+    rng = np.random.default_rng(2718)
+    joint = np.zeros((10, 10))
+    for trial in range(9000):
+        st = ProcessState(5, K3)
+        if trial % 2:
+            st.advance(rng, 2)
+        else:
+            st.advance(rng, 1)
+            st.advance(rng, 1)
+        first, second = (pairs.index(e) for e in st.edge_log)
+        joint[first, second] += 1
+    assert not joint.diagonal().any()
+    chi2, crit = _uniform_chi2(joint.sum(axis=1))
+    assert chi2 < crit
+    chi2, crit = _uniform_chi2(joint[~np.eye(10, dtype=bool)])
+    assert chi2 < crit
+
+
+def test_k3_n4_law_through_advance():
+    # P(M=3) = 4/15 exactly at n=4 (criterion 3 checks it through step)
+    rng = np.random.default_rng(415)
+    trials = 8000
+    hits = sum(ProcessState(4, K3).run(rng).M == 3 for _ in range(trials))
+    p = 4 / 15
+    assert abs(hits / trials - p) <= 3 * (p * (1 - p) / trials) ** 0.5
