@@ -21,7 +21,7 @@ def main():
     n = args.n
     rng = np.random.default_rng(args.seed)
     st = ProcessState(n, rule=4)
-    st.run(rng, stop=round(args.t_stop * n ** 1.6))
+    st.advance(rng, round(args.t_stop * n ** 1.6))
     t = st.steps / n ** 1.6
     q, xs, ys = k4_eval(t)
 

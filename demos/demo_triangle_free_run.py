@@ -23,13 +23,13 @@ def main():
 
     rng = np.random.default_rng(args.seed)
     st = ProcessState(args.n, rule=3)
-    res = st.run(rng)
+    M = st.advance(rng)
     n = args.n
 
     print("n = %d, seed = %d" % (n, args.seed))
-    print("terminated after M = %d edges" % res.M)
+    print("terminated after M = %d edges" % M)
     print("M / (n^{3/2} sqrt(ln n)) = %.4f"
-          % (res.M / (n ** 1.5 * math.sqrt(math.log(n)))))
+          % (M / (n ** 1.5 * math.sqrt(math.log(n)))))
     degs = np.count_nonzero(st.status_matrix() == EDGE, axis=1)
     print("degrees: min %d  mean %.1f  max %d" % (degs.min(), degs.mean(), degs.max()))
 

@@ -10,7 +10,6 @@ from .process import (
     OPEN,
     ProcessState,
     ProcessTerminated,
-    RunResult,
     StepOutcome,
 )
 from .ledger import (

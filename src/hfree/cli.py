@@ -73,7 +73,11 @@ def cmd_run(args) -> int:
 
 
 def cmd_plot_data(args) -> int:
-    config, records = harness.load_records(args.records)
+    try:
+        config, records = harness.load_records(args.records)
+    except (OSError, ValueError) as exc:
+        print("cannot read records %s: %s" % (args.records, exc), file=sys.stderr)
+        return 1
     if not records:
         print("no records found", file=sys.stderr)
         return 1
@@ -84,7 +88,11 @@ def cmd_plot_data(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    config, records = harness.load_records(args.records)
+    try:
+        config, records = harness.load_records(args.records)
+    except (OSError, ValueError) as exc:
+        print("cannot read records %s: %s" % (args.records, exc), file=sys.stderr)
+        return 1
     if config is None:
         print("records file has no config line", file=sys.stderr)
         return 1

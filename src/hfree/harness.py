@@ -26,15 +26,15 @@ import time
 import numpy as np
 
 from . import analysis, graphio, k4stats, ledger as ledger_mod, trajectory
-from .process import EDGE, K3, K4, ProcessState
+from .process import BLOCK, EDGE, K3, K4, ProcessState
 
 MASK64 = (1 << 64) - 1
 SEED_STRIDE = 0x9E3779B97F4A7C15  # odd constant for per-trial seed derivation
 # the generator each process's records name: SeedSequence(seed).spawn(3) gives
-# the process, witness and greedy-alpha streams, and the K3 process draws its
+# the process, witness and greedy-alpha streams, and the process draws its
 # open-list codes in blocks of process.BLOCK
-RNG_NAMES = {"K3": "numpy.PCG64/SeedSequence.spawn3/K3-block64",
-             "K4": "numpy.PCG64/SeedSequence.spawn3"}
+RNG_NAMES = {p: "numpy.PCG64/SeedSequence.spawn3/%s-block%d" % (p, BLOCK)
+             for p in ("K3", "K4")}
 # largest n a K3 config may run with ledger_mode = full (n x n counts per snapshot)
 N_LEDGER_MAX = 2000
 
@@ -64,7 +64,7 @@ class ExperimentConfig:
     mu: float = 1.0 / 32.0
     k4_witness_pairs: int = 50
     k4_witness_triples: int = 50
-    exact_alpha_cap: int = 60
+    exact_alpha_cap: int = analysis.EXACT_CAP
     greedy_repeats: int = 32
     workers: int = 1
 

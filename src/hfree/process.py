@@ -11,22 +11,26 @@ NO_PAIR on the diagonal; rows of S are the neighbourhoods, and closure is
 found from the two rows of the new edge's ends.  S costs n^2 bytes: 4 MB at
 n=2000, 100 MB at n=10^4.  A pair {u,v} is addressed by (u, v) in S or by
 its flat code u*n+v in S.ravel(); each step reports the codes of the pairs
-it closed.  Sampling uses a lazily compacted list of open pair codes u*n+v
-(u<v): a draw that lands on an entry which is no longer open is redrawn, and
-the list is compacted once fewer than half of its entries are open, so a
-step makes at most two draws on average.
+it closed.
 
-`advance` runs many steps.  Under the K3 rule it draws BLOCK codes from the
-open list with one rng call, drops those no longer open, and adds the
-longest run of the rest whose pairs share no vertex as one batch, with one
+Every pair comes from one draw path.  It draws BLOCK codes from a lazily
+compacted list of open pair codes u*n+v (u<v) with one rng call, keeps them
+in draw order in `_pending`, and hands out those still open; a new block is
+drawn, and the list compacted if fewer than half of it is open, only once
+the carried ones are used up.  Each code is an independent uniform draw
+from the list as it was when its block was drawn, and every pair open now
+was open then and is in that list once, so the first carried code still
+open is uniform over the open pairs now.  `choose` takes that code.
+
+`advance` runs many steps.  Under the K3 rule it adds the longest run of
+the live carried codes whose pairs share no vertex as one batch, with one
 set of row operations on S: a K3 pair closes only through a new edge at one
 of its ends, so each pair of the run is still open at its turn, and the
-batch closes what its steps would close one at a time.  The codes after the
-run are kept, in order, in `_pending`, and the next batch or `choose` takes
-them first; a new block is drawn, and the list compacted, only once they are
-used up.  So the edges depend on the seed alone, not on where a caller caps
-the steps.  Under the K4 rule a new edge away from a pair can close it, so
-K4 steps stay one at a time.
+batch closes what its steps would close one at a time.  K3 `add_edge` is
+the same batch with one pair.  Under the K4 rule a new edge away from a
+pair can close it, so K4 steps stay one at a time.  Either way the edges
+depend on the seed alone: not on where a caller caps the steps, nor on
+whether they go through `step` or `advance`.
 """
 
 from __future__ import annotations
@@ -41,7 +45,7 @@ EDGE = 1
 CLOSED = 2
 # sentinel used on the diagonal of status matrices; never a real pair status
 NO_PAIR = 3
-# open-list codes `advance` draws per rng call, once the carried ones are used up
+# open-list codes drawn per rng call, once the carried ones are used up
 BLOCK = 64
 
 
@@ -65,15 +69,6 @@ class StepOutcome:
         self.edge = edge
         self.closed_ids = closed_ids  # np.ndarray of codes a*n+b into S
         self.step = step              # step count after this step
-
-
-class RunResult:
-    __slots__ = ("M", "state", "completed")
-
-    def __init__(self, M, state, completed):
-        self.M = M
-        self.state = state
-        self.completed = completed
 
 
 class ProcessState:
@@ -126,15 +121,6 @@ class ProcessState:
 
     # ------------------------------------------------------------------ steps
 
-    def _k3_newly_closed(self, u: int, v: int):
-        """Open pairs {u,w} for w ~ v and {v,w} for w ~ u, as (ends, ws)."""
-        S = self.S
-        mask = (S[[v, u]] == EDGE) & (S[[u, v]] == OPEN)
-        # a 1-D nonzero of the flat mask lists the pairs in the row-major
-        # order of a 2-D nonzero at under half its cost at n=2000
-        side, w = np.divmod(mask.ravel().nonzero()[0], self.n)
-        return np.array([u, v])[side], w
-
     def _k4_newly_closed(self, u: int, v: int):
         """Open pairs that uv completes to a K4 minus that pair, with
         C = N(u) ∩ N(v): pairs inside C, and {u,b} with b ~ v and b adjacent
@@ -153,33 +139,31 @@ class ProcessState:
                 ws.append(b)
         return np.concatenate(ends), np.concatenate(ws)
 
-    def _open_list(self) -> np.ndarray:
-        """The open list, compacted first if fewer than half of it is open."""
-        lst = self._open
-        if 2 * self.open_count < len(lst):
-            live = lst[self.S.reshape(-1)[lst] == OPEN]
-            lst[:len(live)] = live
-            self._open = lst = lst[:len(live)]
-        return lst
+    def _live_codes(self, rng) -> np.ndarray:
+        """The carried codes that are still open, in draw order.  Only when
+        none is left is the open list compacted (if fewer than half of it is
+        open) and a block of BLOCK codes drawn from it: the one rng call of
+        the process.  Needs an open pair."""
+        flat = self.S.reshape(-1)
+        codes = self._pending[flat[self._pending] == OPEN]
+        while not len(codes):
+            lst = self._open
+            if 2 * self.open_count < len(lst):
+                live = lst[flat[lst] == OPEN]
+                lst[:len(live)] = live
+                self._open = lst = lst[:len(live)]
+            codes = lst[rng.integers(len(lst), size=BLOCK)]
+            codes = codes[flat[codes] == OPEN]
+        return codes
 
     def choose(self, rng):
-        """A uniformly random open pair (u, v), u < v: the first still-open
-        code carried over from `advance`, else one rng.integers draw per try."""
+        """A uniformly random open pair (u, v), u < v: the first live drawn
+        code; the rest are carried over."""
         if self.open_count == 0:
             raise ProcessTerminated("no open pairs at step %d" % self.steps)
-        flat = self.S.reshape(-1)
-        if len(self._pending):
-            live = np.flatnonzero(flat[self._pending] == OPEN)
-            if len(live):
-                code = int(self._pending[live[0]])
-                self._pending = self._pending[live[0] + 1:]
-                return divmod(code, self.n)
-            self._pending = self._pending[:0]
-        lst = self._open_list()
-        while True:
-            code = int(lst[int(rng.integers(len(lst)))])
-            if flat[code] == OPEN:
-                return divmod(code, self.n)
+        codes = self._live_codes(rng)
+        self._pending = codes[1:]
+        return divmod(int(codes[0]), self.n)
 
     def add_edge(self, u: int, v: int) -> StepOutcome:
         """Add the open pair {u,v} and close every pair it forbids."""
@@ -188,24 +172,28 @@ class ProcessState:
             raise ValueError("pair {%d,%d} is not open" % (u, v))
         if u > v:
             u, v = v, u
-        S = self.S
-        S[u, v] = S[v, u] = EDGE
-        a, b = (self._k3_newly_closed if self.rule == K3 else self._k4_newly_closed)(u, v)
-        S[a, b] = S[b, a] = CLOSED
-        closed_ids = a * n + b
-        self.open_count -= 1 + len(closed_ids)
-        self.steps += 1
-        self.edge_log.append((u, v))
-        return StepOutcome((u, v), closed_ids, self.steps)
+        if self.rule == K3:
+            a, b = self._add_k3_batch(np.array([u]), np.array([v]))
+        else:
+            S = self.S
+            S[u, v] = S[v, u] = EDGE
+            a, b = self._k4_newly_closed(u, v)
+            S[a, b] = S[b, a] = CLOSED
+            self.open_count -= 1 + len(a)
+            self.steps += 1
+            self.edge_log.append((u, v))
+        return StepOutcome((u, v), a * n + b, self.steps)
 
     def step(self, rng) -> StepOutcome:
         """Add one uniformly random open pair; close what it forbids."""
         return self.add_edge(*self.choose(rng))
 
-    def _add_k3_batch(self, us, vs):
+    def _add_k3_batch(self, us, vs) -> tuple[np.ndarray, np.ndarray]:
         """Add the open pairs {us[i], vs[i]}, no two sharing a vertex, and
         close {u_i, w} for w ~ v_i and {v_i, w} for w ~ u_i, read from the 2k
-        rows of the ends once the edges are in."""
+        rows of the ends once the edges are in.  Returns the closed pairs as
+        (a, w); a pair closed from both of its ends is listed twice, which
+        needs k > 1."""
         n, S, k = self.n, self.S, len(us)
         S[us, vs] = S[vs, us] = EDGE
         ends = np.concatenate([us, vs])
@@ -214,14 +202,20 @@ class ProcessState:
         mask = rows == OPEN
         mask[:k] &= edge[k:]
         mask[k:] &= edge[:k]
+        # a 1-D nonzero of the flat mask lists the pairs in the row-major
+        # order of a 2-D nonzero at under half its cost at n=2000
         side, w = np.divmod(mask.ravel().nonzero()[0], n)
         a = ends[side]
         S[a, w] = S[w, a] = CLOSED
-        # a pair of two batch ends, {u_i, v_j} say, can be closed from both
-        both = mask[:, ends]
-        self.open_count -= k + len(w) - int(np.count_nonzero(both & both.T)) // 2
+        closed = len(w)
+        if k > 1:
+            # a pair of two batch ends, {u_i, v_j} say, can be closed from both
+            both = mask[:, ends]
+            closed -= int(np.count_nonzero(both & both.T)) // 2
+        self.open_count -= k + closed
         self.steps += k
         self.edge_log.extend(zip(us.tolist(), vs.tolist()))
+        return a, w
 
     def advance(self, rng, max_steps: int | None = None) -> int:
         """Add up to max_steps uniformly random open pairs (no cap: until no
@@ -233,13 +227,8 @@ class ProcessState:
             while self.open_count and self.steps < end:
                 self.step(rng)
             return self.steps - start
-        flat = self.S.reshape(-1)
         while self.open_count and self.steps < end:
-            codes = self._pending
-            if not len(codes):
-                lst = self._open_list()
-                codes = lst[rng.integers(len(lst), size=BLOCK)]
-            codes = codes[flat[codes] == OPEN]
+            codes = self._live_codes(rng)
             us, vs = np.divmod(codes, self.n)
             # the run ends at the first pair with an end seen earlier in it
             ends = np.stack([us, vs], axis=1).ravel()
@@ -250,9 +239,3 @@ class ProcessState:
             self._pending = codes[k:]
             self._add_k3_batch(us[:k], vs[:k])
         return self.steps - start
-
-    def run(self, rng, stop: int | None = None) -> RunResult:
-        """Run until no open pair remains (or a step cap, applied between
-        steps).  With no cap the final graph is maximal H-free."""
-        self.advance(rng, None if stop is None else stop - self.steps)
-        return RunResult(self.steps, self, self.open_count == 0)

@@ -59,13 +59,13 @@ class BufferedRng:
         self._buf = self._rng.random(block)
         self._pos = 0
 
-    def integers(self, high):
-        if self._pos == self._block:
+    def integers(self, high, size):
+        if self._pos + size > self._block:
             self._buf = self._rng.random(self._block)
             self._pos = 0
-        u = self._buf[self._pos]
-        self._pos += 1
-        return int(u * high)
+        u = self._buf[self._pos:self._pos + size]
+        self._pos += size
+        return (u * high).astype(np.int64)
 
 
 # ---------------------------------------------------------------- criteria 1+2

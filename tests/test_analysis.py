@@ -87,7 +87,7 @@ def test_greedy_matches_set_oracle(rule, n, stop):
     """Same draws as the set version: value and witness agree for the same
     seed, on full and truncated K3/K4 graphs and the empty graph (all ties)."""
     st = ProcessState(n, rule)
-    st.run(np.random.default_rng(n + rule), stop=stop)
+    st.advance(np.random.default_rng(n + rule), stop)
     for seed in (0, 1):
         got = independence_greedy(st.status_matrix() == EDGE,
                                   np.random.default_rng(seed), repeats=4)

@@ -83,7 +83,7 @@ def test_graph6_bad_input():
 
 def test_write_graph6_from_run(tmp_path, rng):
     st = ProcessState(12, 3)
-    st.run(rng)
+    st.advance(rng)
     path = tmp_path / "graphs.g6"
     write_graph6(path, [(12, st.edge_log)])
     line = path.read_text().strip()

@@ -304,11 +304,18 @@ def test_verify_rejects_config_it_cannot_build(tmp_path, capsys):
 
 
 def test_run_rejects_bad_config_in_one_line(tmp_path, capsys):
-    # a value the config rejects names its key; a missing file names the file
+    # a value the config rejects names its key; a missing config file, or a
+    # missing or unreadable records file for verify and plot-data, names the file
     (tmp_path / "bad.cfg").write_text("process = K4\nn_list = 3\n")
-    for name, key in (("bad.cfg", "n_list"), ("missing.cfg", "missing.cfg")):
-        rc = cli.main(["run", "--config", str(tmp_path / name),
-                       "--out", str(tmp_path / "out")])
+    (tmp_path / "bad.jsonl").write_text("not json\n")
+    out = ["--out", str(tmp_path / "out")]
+    for argv, key in ((["run", "--config", str(tmp_path / "bad.cfg")] + out, "n_list"),
+                      (["run", "--config", str(tmp_path / "missing.cfg")] + out, "missing.cfg"),
+                      (["verify", "--records", str(tmp_path / "missing.jsonl")], "missing.jsonl"),
+                      (["plot-data", "--records", str(tmp_path / "missing.jsonl")] + out,
+                       "missing.jsonl"),
+                      (["verify", "--records", str(tmp_path / "bad.jsonl")], "bad.jsonl")):
+        rc = cli.main(argv)
         captured = capsys.readouterr()
         assert rc == 1 and captured.out == ""
         assert len(captured.err.splitlines()) == 1 and key in captured.err
@@ -317,19 +324,21 @@ def test_run_rejects_bad_config_in_one_line(tmp_path, capsys):
 
 def test_verify_rejects_records_of_an_older_generator(tmp_path, capsys):
     # records drawn with another generator cannot be replayed: one line
-    # naming both generators, not one FAIL per record
-    cfg = ExperimentConfig(process="K3", n_list=(10,), trials=2, base_seed=3)
-    run_experiment(cfg, tmp_path / "ok")
-    lines = (tmp_path / "ok" / "records.jsonl").read_text().splitlines()
+    # naming both generators, not one FAIL per record; the old name is what
+    # K4 records carried before K4 steps drew in blocks
     old = "numpy.PCG64/SeedSequence.spawn3"
-    path = tmp_path / "old.jsonl"
-    path.write_text("\n".join(lines[:1] + [json.dumps(dict(json.loads(line), rng=old))
-                                            for line in lines[1:]]) + "\n")
-    assert cli.main(["verify", "--records", str(path)]) == 1
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert len(captured.err.splitlines()) == 1
-    assert old in captured.err and harness.RNG_NAMES["K3"] in captured.err
+    for process in ("K3", "K4"):
+        cfg = ExperimentConfig(process=process, n_list=(10,), trials=2, base_seed=3)
+        run_experiment(cfg, tmp_path / process)
+        lines = (tmp_path / process / "records.jsonl").read_text().splitlines()
+        path = tmp_path / (process + "-old.jsonl")
+        path.write_text("\n".join(lines[:1] + [json.dumps(dict(json.loads(line), rng=old))
+                                                for line in lines[1:]]) + "\n")
+        assert cli.main(["verify", "--records", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1
+        assert old in captured.err and harness.RNG_NAMES[process] in captured.err
 
 
 def test_cli_seed_override(tmp_path):

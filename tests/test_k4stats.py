@@ -97,7 +97,7 @@ def test_total_count_conservation(rng):
     # for open A every disjoint B lands in exactly one bucket or is excluded
     # as closed; A's counts are frozen iff A is no longer open
     st = ProcessState(12, 4)
-    st.run(rng, stop=30)
+    st.advance(rng, 30)
     pairs = list(itertools.combinations(range(12), 2))
     xs, frozen = k4_witness_counts(st.status_matrix(), pairs)
     statuses = set()
@@ -172,5 +172,5 @@ def test_counts_match_per_pair_oracle(n):
         snapshots += 1
         if not st.open_count:
             break
-        st.run(rng, stop=st.steps + stride)
+        st.advance(rng, stride)
     assert snapshots > 50 and seen_frozen

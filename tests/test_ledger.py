@@ -93,7 +93,7 @@ def test_float32_oracle_matrix_at_n300():
     # the brute-force counts, on random non-edge pairs and on pairs with z > 0
     n = 300
     st = ProcessState(n, 3)
-    st.run(np.random.default_rng(300), stop=round(0.6 * n ** 1.5))
+    st.advance(np.random.default_rng(300), round(0.6 * n ** 1.5))
     assert st.open_count
     xm, ym, zm = oracle_counts_matrix(st)
     assert xm.dtype == ym.dtype == zm.dtype == np.int32
@@ -160,7 +160,7 @@ def test_only_full_mode():
 
 def test_class_conservation(rng):
     st = ProcessState(15, 3)
-    st.run(rng, stop=25)
+    st.advance(rng, 25)
     for u, v in itertools.combinations(range(15), 2):
         if st.has_edge(u, v):
             continue
@@ -185,7 +185,7 @@ def test_q_drop_exact_identity(rng):
 
 def test_sampled_counts_marks_edges(rng):
     st = ProcessState(10, 3)
-    st.run(rng, stop=8)
+    st.advance(rng, 8)
     all_ids = np.arange(st.npairs)
     x, y, z, nonedge = sampled_counts(st, all_ids)
     assert np.count_nonzero(~nonedge) == 8
@@ -195,7 +195,7 @@ def test_sampled_counts_marks_edges(rng):
 @pytest.mark.parametrize("n,stop", [(5, 3), (30, 60), (200, 1500), (200, None)])
 def test_sampled_counts_match_loop(n, stop, rng):
     st = ProcessState(n, 3)
-    st.run(rng, stop=stop)
+    st.advance(rng, stop)
     # pair ids count the pairs u < v in row-major order
     edges = np.flatnonzero(st.status_matrix()[np.triu_indices(n, 1)] == EDGE)[:10]
     drawn = np.random.default_rng(n).choice(st.npairs, size=min(50, st.npairs),

@@ -78,26 +78,24 @@ def test_invariants_through_run(rule, n, rng):
 
 def test_edge_log_matches_steps(rng):
     st = ProcessState(12, 3)
-    res = st.run(rng)
-    assert res.completed
-    assert res.M == st.steps == len(st.edge_log)
+    assert st.advance(rng) == st.steps == len(st.edge_log)
+    assert st.open_count == 0
     for u, v in st.edge_log:
         assert st.has_edge(u, v)
 
 
 def test_stop_cap_between_steps(rng):
     st = ProcessState(30, 3)
-    res = st.run(rng, stop=5)
-    assert st.steps == 5
-    assert not res.completed
+    assert st.advance(rng, 5) == st.steps == 5
+    assert st.open_count
     # resumes cleanly
-    res = st.run(rng)
-    assert res.completed
+    st.advance(rng)
+    assert st.open_count == 0
 
 
 def test_step_after_termination_raises(rng):
     st = ProcessState(4, 3)
-    st.run(rng)
+    st.advance(rng)
     with pytest.raises(ProcessTerminated):
         st.step(rng)
 
@@ -183,14 +181,15 @@ def _choose_chi2(st, rng, draws):
 
 def test_choose_uniform_over_open_pairs(rng):
     st = ProcessState(20, 3)
-    st.run(rng, stop=6)
+    st.advance(rng, 6)
     # the open list still holds closed and edge entries, not yet compacted
     assert st.open_count < len(st._open) <= 2 * st.open_count
     chi2, crit = _choose_chi2(st, rng, 20_000)
     assert chi2 < crit
     while 2 * st.open_count >= len(st._open):
         st.step(rng)
-    st.choose(rng)  # compacts
+    st._pending = st._pending[:0]
+    st.choose(rng)  # draws a block, so compacts first
     assert len(st._open) == st.open_count > 1
     chi2, crit = _choose_chi2(st, rng, 20_000)
     assert chi2 < crit
@@ -209,8 +208,7 @@ def test_k4_n4_always_five_edges(rng):
     # maximal K4-free graph on 4 vertices is K4 minus an edge
     for _ in range(20):
         st = ProcessState(4, 4)
-        res = st.run(rng)
-        assert res.completed and res.M == 5
+        assert st.advance(rng) == 5 and st.open_count == 0
 
 
 def test_k3_m_n4_support(rng):
@@ -218,13 +216,13 @@ def test_k3_m_n4_support(rng):
     seen = set()
     for _ in range(200):
         st = ProcessState(4, 3)
-        seen.add(st.run(rng).M)
+        seen.add(st.advance(rng))
     assert seen == {3, 4}
 
 
 def test_status_matrix_symmetry(rng):
     st = ProcessState(10, 3)
-    st.run(rng, stop=12)
+    st.advance(rng, 12)
     m = st.status_matrix()
     assert np.array_equal(m, m.T)
     for u, v in itertools.combinations(range(10), 2):
@@ -246,10 +244,10 @@ class RecordingRng:
         return idx
 
 
-def _replay(n, codes, steps):
-    """The K3 process driven by a code stream one add_edge at a time: each
-    code still open at its turn is added, until `steps` edges are in."""
-    st = ProcessState(n, K3)
+def _replay(n, rule, codes, steps):
+    """The process driven by a code stream one add_edge at a time: each code
+    still open at its turn is added, until `steps` edges are in."""
+    st = ProcessState(n, rule)
     flat = st.status_matrix().ravel()
     for code in codes:
         if st.steps == steps:
@@ -268,15 +266,17 @@ def _assert_same_run(st, ref):
 @pytest.mark.parametrize("cap", [1, 7, None])
 @pytest.mark.parametrize("n", [10, 30, 100, 300])
 def test_advance_equals_one_at_a_time_on_same_codes(n, cap):
-    for seed in range(3):
-        st = ProcessState(n, K3)
+    # a K4 run to the end at n=300 takes seconds, one step at a time
+    rules = (K3, K4) if n <= 100 else (K3,)
+    for rule, seed in itertools.product(rules, range(3)):
+        st = ProcessState(n, rule)
         rng = RecordingRng(st, seed)
         while st.open_count:
             before = st.steps
             taken = st.advance(rng, cap)
             assert taken == st.steps - before > 0
             assert taken == cap or st.open_count == 0
-        _assert_same_run(st, _replay(n, rng.codes, st.steps))
+        _assert_same_run(st, _replay(n, rule, rng.codes, st.steps))
 
 
 def test_step_after_capped_advance_is_exact():
@@ -292,46 +292,50 @@ def test_step_after_capped_advance_is_exact():
                 out = st.step(rng)
                 assert out.edge == st.edge_log[-1]
         assert carried
-        _assert_same_run(st, _replay(n, rng.codes, st.steps))
+        _assert_same_run(st, _replay(n, K3, rng.codes, st.steps))
 
 
 def test_k4_advance_is_steps():
-    a, b = ProcessState(40, K4), ProcessState(40, K4)
-    ra, rb = np.random.default_rng(9), np.random.default_rng(9)
-    assert a.advance(ra, 100) == 100
-    a.advance(ra)
-    while b.open_count:
-        b.step(rb)
-    assert a.edge_log == b.edge_log and np.array_equal(a.S, b.S)
+    # both rules: a step loop and advance take the same code stream
+    for rule in (K3, K4):
+        a, b = ProcessState(40, rule), ProcessState(40, rule)
+        ra, rb = np.random.default_rng(9), np.random.default_rng(9)
+        assert a.advance(ra, 100) == 100
+        a.advance(ra)
+        while b.open_count:
+            b.step(rb)
+        assert a.edge_log == b.edge_log and np.array_equal(a.S, b.S)
 
 
 def test_first_pairs_through_advance_uniform():
-    # at n=5 the first edge closes nothing, so the first two edges are a
-    # uniform ordered pair of distinct pairs; a drawn code dropped instead of
-    # carried over would bias the second edge away from the first one's ends
+    # at n=5 the first edge closes nothing under either rule, so the first
+    # two edges are a uniform ordered pair of distinct pairs; a drawn code
+    # dropped instead of carried over would bias the second edge away from
+    # the first one's ends
     pairs = [tuple(p) for p in itertools.combinations(range(5), 2)]
     rng = np.random.default_rng(2718)
-    joint = np.zeros((10, 10))
-    for trial in range(9000):
-        st = ProcessState(5, K3)
-        if trial % 2:
-            st.advance(rng, 2)
-        else:
-            st.advance(rng, 1)
-            st.advance(rng, 1)
-        first, second = (pairs.index(e) for e in st.edge_log)
-        joint[first, second] += 1
-    assert not joint.diagonal().any()
-    chi2, crit = _uniform_chi2(joint.sum(axis=1))
-    assert chi2 < crit
-    chi2, crit = _uniform_chi2(joint[~np.eye(10, dtype=bool)])
-    assert chi2 < crit
+    for rule in (K3, K4):
+        joint = np.zeros((10, 10))
+        for trial in range(9000):
+            st = ProcessState(5, rule)
+            if trial % 2:
+                st.advance(rng, 2)
+            else:
+                st.advance(rng, 1)
+                st.advance(rng, 1)
+            first, second = (pairs.index(e) for e in st.edge_log)
+            joint[first, second] += 1
+        assert not joint.diagonal().any()
+        chi2, crit = _uniform_chi2(joint.sum(axis=1))
+        assert chi2 < crit
+        chi2, crit = _uniform_chi2(joint[~np.eye(10, dtype=bool)])
+        assert chi2 < crit
 
 
 def test_k3_n4_law_through_advance():
     # P(M=3) = 4/15 exactly at n=4 (criterion 3 checks it through step)
     rng = np.random.default_rng(415)
     trials = 8000
-    hits = sum(ProcessState(4, K3).run(rng).M == 3 for _ in range(trials))
+    hits = sum(ProcessState(4, K3).advance(rng) == 3 for _ in range(trials))
     p = 4 / 15
     assert abs(hits / trials - p) <= 3 * (p * (1 - p) / trials) ** 0.5
