@@ -135,35 +135,52 @@ def max_degree(adj) -> int:
     return int(np.count_nonzero(adj, axis=1).max()) if len(adj) else 0
 
 
+# per rule: the scales of M, alpha and the largest degree, as functions of
+# n and ln n, and the implied Ramsey ratio n / (the paper's bound at
+# t = alpha + 1): R(3,t) = Theta(t^2/log t), R(4,t) = Omega(t^{5/2}/log^2 t)
+_SCALES = {
+    "K3": (lambda n, lg: n ** 1.5 * math.sqrt(lg),
+           lambda n, lg: math.sqrt(n * lg),
+           lambda n, lg: math.sqrt(n * lg),
+           lambda n, t: n * math.log(t) / t ** 2),
+    "K4": (lambda n, lg: n ** 1.6 * lg ** 0.2,
+           lambda n, lg: n ** 0.4 * lg ** 0.8,
+           lambda n, lg: n ** 0.6 * lg ** 0.2,
+           lambda n, t: n * math.log(t) ** 2 / t ** 2.5),
+}
+
+
 def ramsey_summary(records):
-    """Per-n summary of the scaling ratios.  Each record needs keys
-    n, M, alpha, max_degree; rows come back sorted by n."""
+    """Per (rule, n) summary of the scaling ratios, each record normalised
+    by its rule's scales.  Each record needs keys rule, n, M, alpha,
+    max_degree; rows come back sorted by rule, then n."""
     if not records:
         raise ValueError("no records to summarize")
-    by_n: dict[int, list] = {}
+    groups: dict[tuple, list] = {}
     for rec in records:
-        by_n.setdefault(rec["n"], []).append(rec)
+        groups.setdefault((rec["rule"], rec["n"]), []).append(rec)
     rows = []
-    for n in sorted(by_n):
-        recs = by_n[n]
+    for rule, n in sorted(groups):
+        recs = groups[rule, n]
+        m_scale, a_scale, d_scale, ramsey = _SCALES[rule]
         lg = math.log(n)
-        m_ratio = [r["M"] / (n ** 1.5 * math.sqrt(lg)) for r in recs]
-        a_ratio = [r["alpha"] / math.sqrt(n * lg) for r in recs]
-        d_ratio = [r["max_degree"] / math.sqrt(n * lg) for r in recs]
-        ramsey = [n * math.log(r["alpha"] + 1) / (r["alpha"] + 1) ** 2 for r in recs]
+        m_ratio = [r["M"] / m_scale(n, lg) for r in recs]
         rows.append({
+            "rule": rule,
             "n": n,
             "trials": len(recs),
             "mean_M_ratio": float(np.mean(m_ratio)),
             "std_M_ratio": float(np.std(m_ratio)),
-            "mean_alpha_ratio": float(np.mean(a_ratio)),
-            "mean_delta_ratio": float(np.mean(d_ratio)),
-            "implied_ramsey_ratio": float(np.mean(ramsey)),
+            "mean_alpha_ratio": float(np.mean([r["alpha"] / a_scale(n, lg) for r in recs])),
+            "mean_delta_ratio": float(np.mean([r["max_degree"] / d_scale(n, lg)
+                                               for r in recs])),
+            "implied_ramsey_ratio": float(np.mean([ramsey(n, r["alpha"] + 1)
+                                                   for r in recs])),
         })
     return rows
 
 
-SUMMARY_COLUMNS = ["n", "trials", "mean_M_ratio", "std_M_ratio",
+SUMMARY_COLUMNS = ["rule", "n", "trials", "mean_M_ratio", "std_M_ratio",
                    "mean_alpha_ratio", "mean_delta_ratio", "implied_ramsey_ratio"]
 
 

@@ -26,7 +26,7 @@ import time
 import numpy as np
 
 from . import analysis, graphio, k4stats, ledger as ledger_mod, trajectory
-from .process import BLOCK, EDGE, K3, K4, ProcessState
+from .process import BLOCK, EDGE, K3, K4, N_MAX, ProcessState
 
 MASK64 = (1 << 64) - 1
 SEED_STRIDE = 0x9E3779B97F4A7C15  # odd constant for per-trial seed derivation
@@ -80,6 +80,9 @@ class ExperimentConfig:
         if min(self.n_list) < n_min:
             raise ValueError("n_list needs every n >= %d for process %s, got %s"
                              % (n_min, self.process, self.n_list))
+        if max(self.n_list) > N_MAX:
+            raise ValueError("n_list needs every n <= %d (int32 pair codes), got %s"
+                             % (N_MAX, self.n_list))
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
         if self.greedy_repeats < 1:
@@ -282,9 +285,14 @@ def _draw_vertex_sets(rng, n, size, count):
     return sets
 
 
-def run_trial(cfg: ExperimentConfig, n: int, trial: int, global_index: int):
+def run_trial(cfg: ExperimentConfig, n: int, trial: int, global_index: int,
+              phases: dict | None = None):
     """One deterministic trial: (record, edge_log).  The record is a plain
-    JSON-serializable dict; edge_log is the trial's edges in the order added."""
+    JSON-serializable dict; edge_log is the trial's edges in the order added.
+    A `phases` dict receives the wall seconds spent in the process, the
+    snapshots and alpha (process_s, snapshot_s, alpha_s), and the steps."""
+    clock = time.perf_counter
+    spent = {"process_s": 0.0, "snapshot_s": 0.0, "alpha_s": 0.0}
     seed = trial_seed(cfg.base_seed, global_index)
     rng, witness_rng, alpha_rng = (
         np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(3))
@@ -303,21 +311,26 @@ def run_trial(cfg: ExperimentConfig, n: int, trial: int, global_index: int):
         k4_triples = _draw_vertex_sets(witness_rng, n, 3, cfg.k4_witness_triples)
 
     def snapshot():
+        t0 = clock()
         if rule == K3:
             snapshots.append(_k3_snapshot(state, n, witness_ids))
         else:
             snapshots.append(_k4_snapshot(state, k4_pairs, k4_triples, n))
+        spent["snapshot_s"] += clock() - t0
 
     snapshot()
     while state.open_count and (stop is None or state.steps < stop):
         left = stride - state.steps % stride
+        t0 = clock()
         state.advance(rng, left if stop is None else min(left, stop - state.steps))
+        spent["process_s"] += clock() - t0
         if state.steps % stride == 0:
             snapshot()
     if snapshots[-1]["i"] != state.steps:
         snapshot()
 
     completed = state.open_count == 0
+    t0 = clock()
     adj = state.status_matrix() == EDGE
     deg = np.count_nonzero(adj, axis=1)
     delta = int(deg.max())
@@ -330,6 +343,9 @@ def run_trial(cfg: ExperimentConfig, n: int, trial: int, global_index: int):
     alpha_exact = None
     if n <= cfg.exact_alpha_cap:
         alpha_exact = analysis.independence_exact(adj, cfg.exact_alpha_cap).value
+    spent["alpha_s"] += clock() - t0
+    if phases is not None:
+        phases.update(spent, steps=state.steps)
     record = {
         "run_id": "n%d-t%d" % (n, trial),
         "n": n,
@@ -352,8 +368,9 @@ def run_trial(cfg: ExperimentConfig, n: int, trial: int, global_index: int):
 
 def _timed_trial(cfg, n, trial, gidx):
     t0 = time.perf_counter()
-    rec, edge_log = run_trial(cfg, n, trial, gidx)
-    return rec, edge_log, time.perf_counter() - t0
+    phases = {}
+    rec, edge_log = run_trial(cfg, n, trial, gidx, phases)
+    return rec, edge_log, time.perf_counter() - t0, phases
 
 
 def _trial_job(args):
@@ -385,12 +402,14 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None, edge_logs=False):
             g6_fh = open(os.path.join(out_dir, "final_graphs.g6"), "w", encoding="utf-8")
     records = []
 
-    def emit(rec, edge_log, elapsed):
+    def emit(rec, edge_log, elapsed, phases):
         records.append(rec)
         if fh is not None:
             fh.write(json.dumps(rec, sort_keys=True) + "\n")
             fh.flush()
-            timing_fh.write("%s %.3fs\n" % (rec["run_id"], elapsed))
+            timing_fh.write("%s %.3fs process=%.3fs snapshot=%.3fs alpha=%.3fs steps=%d\n"
+                            % (rec["run_id"], elapsed, phases["process_s"],
+                               phases["snapshot_s"], phases["alpha_s"], phases["steps"]))
             timing_fh.flush()
         if g6_fh is not None:
             graphio.write_edge_log(os.path.join(logs_dir, rec["run_id"] + ".edges"),

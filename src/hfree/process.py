@@ -22,15 +22,23 @@ from the list as it was when its block was drawn, and every pair open now
 was open then and is in that list once, so the first carried code still
 open is uniform over the open pairs now.  `choose` takes that code.
 
-`advance` runs many steps.  Under the K3 rule it adds the longest run of
-the live carried codes whose pairs share no vertex as one batch, with one
-set of row operations on S: a K3 pair closes only through a new edge at one
-of its ends, so each pair of the run is still open at its turn, and the
-batch closes what its steps would close one at a time.  K3 `add_edge` is
-the same batch with one pair.  Under the K4 rule a new edge away from a
-pair can close it, so K4 steps stay one at a time.  Either way the edges
-depend on the seed alone: not on where a caller caps the steps, nor on
-whether they go through `step` or `advance`.
+`advance` runs many steps.  Each pass takes the live carried codes and
+adds the longest run of them that can go in as one batch, with one set of
+row operations on S; the rest stay carried over.  Under the K3 rule the run
+ends at the first pair sharing a vertex with an earlier one: a K3 pair
+closes only through a new edge at one of its ends, so each pair of the run
+is still open at its turn, and the batch closes what its steps would close
+one at a time.  Under the K4 rule the run also ends at the first pair
+c_j = {u_j, v_j} with an earlier pair of the run inside
+C_j = N(u_j) ∩ N(v_j), read before the run (no run edge touches u_j or v_j,
+so the run does not change C_j).  A K4-minus-c_j witness has five pairs;
+four touch u_j or v_j, which no other run edge touches, so an earlier run
+edge could close c_j only as the fifth, inside C_j, which the cut rules
+out.  Every pair the run closes has a witness holding a run edge, and that
+edge's local rule, read once the whole run is in, finds it.  `add_edge` is
+the same batch with one pair, for either rule.  The edges depend on the
+seed alone: not on where a caller caps the steps, nor on whether they go
+through `step` or `advance`.
 """
 
 from __future__ import annotations
@@ -47,6 +55,8 @@ CLOSED = 2
 NO_PAIR = 3
 # open-list codes drawn per rng call, once the carried ones are used up
 BLOCK = 64
+# largest n whose pair codes u*n+v, all below n*n, fit the int32 code arrays
+N_MAX = 46340
 
 
 class ProcessTerminated(Exception):
@@ -58,6 +68,13 @@ def _upper_codes(n: int) -> np.ndarray:
     which pair a draw from the open list picks."""
     cols = np.arange(n, dtype=np.int32)
     return np.concatenate([u * n + cols[u + 1:] for u in range(n)])
+
+
+def _spans(starts, counts) -> np.ndarray:
+    """starts[i], starts[i] + 1, ..., starts[i] + counts[i] - 1 for each i,
+    concatenated."""
+    stops = counts.cumsum()
+    return np.arange(stops[-1] if len(stops) else 0) + (starts + counts - stops).repeat(counts)
 
 
 class StepOutcome:
@@ -75,8 +92,8 @@ class ProcessState:
     """Evolving graph as an n x n pair-status matrix, plus the open-pair list."""
 
     def __init__(self, n: int, rule: int = K3):
-        if n < 2:
-            raise ValueError("need at least 2 vertices, got n=%d" % n)
+        if not 2 <= n <= N_MAX:
+            raise ValueError("need 2 <= n <= %d (int32 pair codes), got n=%d" % (N_MAX, n))
         if rule not in (K3, K4):
             raise ValueError("forbidden clique order must be 3 or 4, got %r" % (rule,))
         self.n = n
@@ -121,24 +138,6 @@ class ProcessState:
 
     # ------------------------------------------------------------------ steps
 
-    def _k4_newly_closed(self, u: int, v: int):
-        """Open pairs that uv completes to a K4 minus that pair, with
-        C = N(u) ∩ N(v): pairs inside C, and {u,b} with b ~ v and b adjacent
-        to some vertex of C (and the mirror case {v,b})."""
-        S = self.S
-        eu = S[u] == EDGE
-        ev = S[v] == EDGE
-        c = np.flatnonzero(eu & ev)
-        i, j = np.nonzero(np.triu(S[np.ix_(c, c)] == OPEN))
-        ends, ws = [c[i]], [c[j]]
-        for x, nbr_y in ((u, ev), (v, eu)):
-            b = np.flatnonzero(nbr_y & (S[x] == OPEN))
-            if len(b) and len(c):
-                b = b[(S[np.ix_(b, c)] == EDGE).any(axis=1)]
-                ends.append(np.full(len(b), x))
-                ws.append(b)
-        return np.concatenate(ends), np.concatenate(ws)
-
     def _live_codes(self, rng) -> np.ndarray:
         """The carried codes that are still open, in draw order.  Only when
         none is left is the open list compacted (if fewer than half of it is
@@ -172,16 +171,11 @@ class ProcessState:
             raise ValueError("pair {%d,%d} is not open" % (u, v))
         if u > v:
             u, v = v, u
+        us, vs = np.array([u]), np.array([v])
         if self.rule == K3:
-            a, b = self._add_k3_batch(np.array([u]), np.array([v]))
+            a, b = self._add_k3_batch(us, vs)
         else:
-            S = self.S
-            S[u, v] = S[v, u] = EDGE
-            a, b = self._k4_newly_closed(u, v)
-            S[a, b] = S[b, a] = CLOSED
-            self.open_count -= 1 + len(a)
-            self.steps += 1
-            self.edge_log.append((u, v))
+            a, b = self._add_k4_batch(us, vs, self._common(us, vs))
         return StepOutcome((u, v), a * n + b, self.steps)
 
     def step(self, rng) -> StepOutcome:
@@ -217,16 +211,69 @@ class ProcessState:
         self.edge_log.extend(zip(us.tolist(), vs.tolist()))
         return a, w
 
+    def _common(self, us, vs) -> np.ndarray:
+        """k x n bool rows C[j] = N(us[j]) ∩ N(vs[j])."""
+        return (self.S[us] == EDGE) & (self.S[vs] == EDGE)
+
+    def _add_k4_batch(self, us, vs, C) -> tuple[np.ndarray, np.ndarray]:
+        """Add the open pairs {us[j], vs[j]}, no two sharing a vertex and no
+        earlier one inside C[j] = N(us[j]) ∩ N(vs[j]), and close what they
+        forbid (`_k4_closed`).  Returns the closed pairs as (a, b), a < b,
+        each once."""
+        S, k = self.S, len(us)
+        S[us, vs] = S[vs, us] = EDGE
+        a, b = self._k4_closed(us, vs, C)
+        S[a, b] = S[b, a] = CLOSED
+        self.open_count -= k + len(a)
+        self.steps += k
+        self.edge_log.extend(zip(us.tolist(), vs.tolist()))
+        return a, b
+
+    def _k4_closed(self, us, vs, C) -> tuple[np.ndarray, np.ndarray]:
+        """The open pairs of the K4-minus-a-pair witnesses of the new edges
+        {us[j], vs[j]}, read once they are in: the pairs inside C[j], and
+        {u_j, w} with w ~ v_j and w adjacent to a vertex of C[j] (and the
+        mirror case {v_j, w}).  An edge with C[j] empty closes nothing."""
+        n, S, k = self.n, self.S, len(us)
+        # C as entries (j, c[e]) in row-major order; row j holds the
+        # entries stop[j] - size[j] .. stop[j] - 1
+        cj, c = np.divmod(C.ravel().nonzero()[0], n)
+        if not len(c):
+            return c, c
+        size = np.bincount(cj, minlength=k)
+        stop = size.cumsum()
+        # the pairs inside C[j]: each entry with the later ones of its row
+        later = stop[cj] - np.arange(len(c)) - 1
+        a = c[np.arange(len(c)).repeat(later)]
+        b = c[_spans(np.arange(1, len(c) + 1), later)]
+        keep = S[a, b] == OPEN
+        a, b = a[keep], b[keep]
+        # {x, w} open, x an end of edge j with C[j] not empty and w ~ y, its
+        # other end: it closes if w is adjacent to some entry of row j
+        rows = size.nonzero()[0]
+        ends = np.concatenate([us[rows], vs[rows]])
+        mask = (S[np.concatenate([vs[rows], us[rows]])] == EDGE) & (S[ends] == OPEN)
+        side, w = np.divmod(mask.ravel().nonzero()[0], n)
+        j = rows[side % len(rows)]
+        cand = np.arange(len(w)).repeat(size[j])
+        hit = np.zeros(len(w), dtype=bool)
+        hit[cand[S[w[cand], c[_spans(stop[j] - size[j], size[j])]] == EDGE]] = True
+        x, w = ends[side[hit]], w[hit]
+        codes = np.concatenate([a * n + b, np.minimum(x, w) * n + np.maximum(x, w)])
+        if k > 1:
+            # two edges of the batch can close the same pair.  A stable
+            # sort, as advance already runs: the first call of np.unique or
+            # of the default sort adds 0.3-2 MB of resident memory
+            codes.sort(kind="stable")
+            codes = np.concatenate([codes[:1], codes[1:][codes[1:] != codes[:-1]]])
+        return np.divmod(codes, n)
+
     def advance(self, rng, max_steps: int | None = None) -> int:
         """Add up to max_steps uniformly random open pairs (no cap: until no
         open pair remains); returns the number added.  The same rng gives the
         same edges however the steps are split between calls."""
         start = self.steps
         end = start + (self.npairs if max_steps is None else max_steps)
-        if self.rule == K4:
-            while self.open_count and self.steps < end:
-                self.step(rng)
-            return self.steps - start
         while self.open_count and self.steps < end:
             codes = self._live_codes(rng)
             us, vs = np.divmod(codes, self.n)
@@ -236,6 +283,16 @@ class ProcessState:
             sorted_ends = ends[order]
             again = order[1:][sorted_ends[1:] == sorted_ends[:-1]]
             k = min(int(again.min()) // 2 if len(again) else len(codes), end - self.steps)
+            us, vs = us[:k], vs[:k]
+            if self.rule == K3:
+                self._add_k3_batch(us, vs)
+            else:
+                # K4: and at the first pair with an earlier pair inside its C
+                C = self._common(us, vs)
+                inside = np.tril(C[:, us] & C[:, vs], -1).any(axis=1)
+                if inside.any():
+                    k = int(inside.argmax())
+                    us, vs, C = us[:k], vs[:k], C[:k]
+                self._add_k4_batch(us, vs, C)
             self._pending = codes[k:]
-            self._add_k3_batch(us[:k], vs[:k])
         return self.steps - start

@@ -112,7 +112,8 @@ def test_ramsey_summary(tmp_path):
     records = []
     for n in (100, 400):
         for trial in range(3):
-            records.append({"n": n, "M": int(0.4 * n ** 1.5 * math.sqrt(math.log(n))),
+            records.append({"rule": "K3", "n": n,
+                            "M": int(0.4 * n ** 1.5 * math.sqrt(math.log(n))),
                             "alpha": int(math.sqrt(n * math.log(n))),
                             "max_degree": int(0.9 * math.sqrt(n * math.log(n)))})
     rows = ramsey_summary(records)
@@ -124,8 +125,25 @@ def test_ramsey_summary(tmp_path):
     summary_to_csv(rows, path, header_comment="test")
     lines = path.read_text().splitlines()
     assert lines[0] == "# test"
-    assert lines[1].startswith("n,trials,mean_M_ratio")
+    assert lines[1].startswith("rule,n,trials,mean_M_ratio")
     assert len(lines) == 4
+
+
+def test_ramsey_summary_keeps_rules_apart():
+    # K3 and K4 records at one n make one row each, each on its rule's scales
+    n, lg = 40, math.log(40)
+    k3 = {"rule": "K3", "n": n, "M": 120, "alpha": 12, "max_degree": 7}
+    k4 = {"rule": "K4", "n": n, "M": 300, "alpha": 6, "max_degree": 15}
+    rows = ramsey_summary([k4, k3, k4, k3])
+    assert [(r["rule"], r["n"], r["trials"]) for r in rows] == [("K3", n, 2), ("K4", n, 2)]
+    r3, r4 = rows
+    assert r3["mean_M_ratio"] == pytest.approx(120 / (n ** 1.5 * lg ** 0.5))
+    assert r3["mean_alpha_ratio"] == pytest.approx(12 / (n * lg) ** 0.5)
+    assert r3["implied_ramsey_ratio"] == pytest.approx(n * math.log(13) / 13 ** 2)
+    assert r4["mean_M_ratio"] == pytest.approx(300 / (n ** 1.6 * lg ** 0.2))
+    assert r4["mean_alpha_ratio"] == pytest.approx(6 / (n ** 0.4 * lg ** 0.8))
+    assert r4["mean_delta_ratio"] == pytest.approx(15 / (n ** 0.6 * lg ** 0.2))
+    assert r4["implied_ramsey_ratio"] == pytest.approx(n * math.log(7) ** 2 / 7 ** 2.5)
 
 
 def test_ramsey_summary_empty():

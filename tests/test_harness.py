@@ -91,6 +91,9 @@ def test_parse_config_overrides_and_errors():
                        "ledger_mode"),
                       ("process=K4\nn_list = 20, 3\n", "n_list"),
                       ("process=K4\nn_list = 2\n", "n_list"),
+                      # pair codes u*n+v above int32; nothing is allocated
+                      ("process=K3\nn_list = 20, 46341\n", "n_list"),
+                      ("process=K4\nn_list = 46341\nledger_mode = sampled\n", "n_list"),
                       ("process=K3\nn_list=20\nmu = nan\nstop = paper\n", "mu"),
                       ("process=K3\nn_list=20\nmu = inf\nstop = paper\n", "mu"),
                       ("process=K3\nn_list=20\nworkers = 0\n", "workers"),
@@ -185,12 +188,14 @@ def test_full_mode_snapshots_match_incremental_ledger():
 
 def test_k3_edge_log_does_not_depend_on_snapshot_stride():
     # advance stops at every snapshot and carries its unused draws over, so
-    # the edges depend on the seed alone
-    for n, seed in ((40, 5), (40, 6), (100, 7)):
+    # the edges depend on the seed alone, under either rule
+    for process, n, seed in (("K3", 40, 5), ("K3", 40, 6), ("K3", 100, 7),
+                             ("K4", 40, 5), ("K4", 100, 7)):
         logs = []
         for stride in (1, "auto", 13):
-            cfg = ExperimentConfig(process="K3", n_list=(n,), base_seed=seed,
-                                   snapshot_stride=stride, witness_pairs=20)
+            cfg = ExperimentConfig(process=process, n_list=(n,), base_seed=seed,
+                                   snapshot_stride=stride, witness_pairs=20,
+                                   k4_witness_pairs=5, k4_witness_triples=5)
             rec, edge_log = run_trial(cfg, n, 0, 0)
             assert rec["completed"] and len(edge_log) == rec["M"]
             logs.append(edge_log)
@@ -240,7 +245,16 @@ def test_experiment_persistence_and_determinism(tmp_path):
     recs1 = run_experiment(cfg, out1)
     recs2 = run_experiment(cfg, out2)
     assert (out1 / "records.jsonl").read_bytes() == (out2 / "records.jsonl").read_bytes()
-    assert (out1 / "timings.txt").exists()
+    # the sidecar: run id, trial seconds, then per-phase seconds and steps
+    lines = (out1 / "timings.txt").read_text().splitlines()
+    assert len(lines) == 4
+    for line, rec in zip(lines, recs1):
+        run_id, total, *phases, steps = line.split()
+        assert run_id == rec["run_id"] and steps == "steps=%d" % rec["steps"]
+        assert [p.split("=")[0] for p in phases] == ["process", "snapshot", "alpha"]
+        secs = [float(p.split("=")[1].rstrip("s")) for p in phases]
+        # each figure is rounded to the ms
+        assert min(secs) >= 0 and sum(secs) <= float(total.rstrip("s")) + 0.002
     config, loaded = load_records(out1)
     assert config["base_seed"] == 21
     assert loaded == recs1 == recs2

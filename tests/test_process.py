@@ -5,10 +5,12 @@ import pytest
 
 from hfree.analysis import max_degree
 from hfree.process import (
+    BLOCK,
     CLOSED,
     EDGE,
     K3,
     K4,
+    N_MAX,
     NO_PAIR,
     OPEN,
     ProcessState,
@@ -22,6 +24,9 @@ def test_bad_arguments():
         ProcessState(1, 3)
     with pytest.raises(ValueError):
         ProcessState(5, 5)
+    # the bound comes before S, 2 GB at this n, is allocated
+    with pytest.raises(ValueError, match="n=%d" % (N_MAX + 1)):
+        ProcessState(N_MAX + 1, 3)
 
 
 def test_initial_state():
@@ -281,8 +286,8 @@ def test_advance_equals_one_at_a_time_on_same_codes(n, cap):
 
 def test_step_after_capped_advance_is_exact():
     # step takes the codes a capped advance left over before drawing anew
-    for n, seed in ((30, 0), (100, 1), (300, 2)):
-        st = ProcessState(n, K3)
+    for rule, n, seed in ((K3, 30, 0), (K3, 100, 1), (K3, 300, 2), (K4, 30, 0), (K4, 100, 1)):
+        st = ProcessState(n, rule)
         rng = RecordingRng(st, seed)
         carried = 0
         while st.open_count:
@@ -292,7 +297,37 @@ def test_step_after_capped_advance_is_exact():
                 out = st.step(rng)
                 assert out.edge == st.edge_log[-1]
         assert carried
-        _assert_same_run(st, _replay(n, K3, rng.codes, st.steps))
+        _assert_same_run(st, _replay(n, rule, rng.codes, st.steps))
+
+
+class OneBlockRng:
+    """Hands out one given block of open-list indices, then nothing."""
+
+    def __init__(self, block):
+        self.block = block
+
+    def integers(self, high, size=None):
+        block, self.block = self.block, None
+        return block
+
+
+def test_k4_run_stops_at_pair_with_earlier_pair_inside_its_c():
+    # on the 4-cycle 0-2-1-3, C = N(0) ∩ N(1) = {2,3}: a block drawing {2,3}
+    # and then {0,1} must add {2,3} alone, which closes {0,1}
+    edges = [(0, 2), (0, 3), (1, 2), (1, 3)]
+    st, ref = build_graph(8, K4, edges), build_graph(8, K4, edges)
+    drawn = [(2, 3), (0, 1), (4, 5), (6, 7)]
+    idx = np.searchsorted(st._open, [u * 8 + v for u, v in drawn])
+    runs = []
+    kernel = st._add_k4_batch
+    st._add_k4_batch = lambda us, vs, C: runs.append(len(us)) or kernel(us, vs, C)
+    # the repeats of the block are no longer open at their turn
+    assert st.advance(OneBlockRng(np.resize(idx, BLOCK)), 3) == 3
+    assert runs == [1, 2]
+    for u, v in drawn[:1] + drawn[2:]:
+        ref.add_edge(u, v)
+    assert ref.status_of(0, 1) == CLOSED
+    _assert_same_run(st, ref)
 
 
 def test_k4_advance_is_steps():
