@@ -8,7 +8,8 @@ import argparse
 
 import numpy as np
 
-from hfree import ProcessState, k4_eval, k4_triple_counts, k4_witness_counts
+from hfree import K4, ProcessState, k4_triple_counts, k4_witness_counts
+from hfree.trajectory import k4_centers, time_scale
 
 
 def main():
@@ -20,13 +21,12 @@ def main():
 
     n = args.n
     rng = np.random.default_rng(args.seed)
-    st = ProcessState(n, rule=4)
-    st.advance(rng, round(args.t_stop * n ** 1.6))
-    t = st.steps / n ** 1.6
-    q, xs, ys = k4_eval(t)
+    st = ProcessState(n, rule=K4)
+    st.advance(rng, round(args.t_stop * time_scale(K4, n)))
+    t, q, xs, ys = k4_centers(n, st.steps)
 
     print("n = %d, %d steps, t = %.3f" % (n, st.steps, t))
-    print("Q = %d   q(t) n^2 = %.0f" % (st.open_count, q * n * n))
+    print("Q = %d   q(t) n^2 = %.0f" % (st.open_count, q))
 
     pairs = [rng.choice(n, size=2, replace=False) for _ in range(40)]
     triples = [rng.choice(n, size=3, replace=False) for _ in range(40)]
@@ -34,10 +34,10 @@ def main():
     y_obs = k4_triple_counts(st.status_matrix(), triples)[0].mean(axis=0)
     print(" f   mean |X_{A,f}|   x_f(t) n^{2-2f/5}")
     for f in range(5):
-        print("%2d  %13.1f   %15.1f" % (f, x_obs[f], xs[f] * n ** (2 - 0.4 * f)))
+        print("%2d  %13.1f   %15.1f" % (f, x_obs[f], xs[f]))
     print(" f   mean |Y_{A,f}|   y_f(t) n^{1-2f/5}")
     for f in range(3):
-        print("%2d  %13.2f   %15.2f" % (f, y_obs[f], ys[f] * n ** (1 - 0.4 * f)))
+        print("%2d  %13.2f   %15.2f" % (f, y_obs[f], ys[f]))
     print(" 3  %13.2f   (bounded, flagged above 15)" % y_obs[3])
 
 

@@ -6,11 +6,11 @@ x(t) n and y(t) sqrt(n).  The fit tightens as n grows.
 """
 
 import argparse
-import math
 
 import numpy as np
 
-from hfree import ProcessState, k3_eval, sampled_counts
+from hfree import EDGE, K3, ProcessState, sampled_counts
+from hfree.trajectory import k3_centers, time_scale
 
 
 def main():
@@ -23,24 +23,21 @@ def main():
 
     n = args.n
     rng = np.random.default_rng(args.seed)
-    st = ProcessState(n, rule=3)
-    ids = rng.choice(st.npairs, size=args.witnesses, replace=False)
+    st = ProcessState(n, rule=K3)
+    # witness pairs u < v as codes u*n+v
+    upper = np.flatnonzero(np.triu(np.ones((n, n), dtype=bool), 1))
+    codes = rng.choice(upper, size=args.witnesses, replace=False)
 
     print("%8s %10s %9s %9s %9s" % ("t", "Q", "dQ%", "dX%", "dY%"))
-    checkpoints = [round(t * n ** 1.5) for t in np.arange(0.05, args.t_max + 1e-9, 0.05)]
-    for target in checkpoints:
-        while st.open_count and st.steps < target:
-            st.step(rng)
+    for goal in np.arange(0.05, args.t_max + 1e-9, 0.05):
+        st.advance(rng, round(goal * time_scale(K3, n)) - st.steps)
         if not st.open_count:
             break
-        t = st.steps / n ** 1.5
-        q, x, y = k3_eval(t)
-        xs, ys, _, nonedge = sampled_counts(st, ids)
-        dq = st.open_count / (q * n * n) - 1
-        dx = xs[nonedge].mean() / (x * n) - 1
-        dy = ys[nonedge].mean() / (y * math.sqrt(n)) - 1
+        t, (q, x, y, _), _ = k3_centers(n, st.steps)
+        xs, ys, _ = sampled_counts(st, codes[st.status_matrix().ravel()[codes] != EDGE])
         print("%8.3f %10d %8.2f%% %8.2f%% %8.2f%%"
-              % (t, st.open_count, 100 * dq, 100 * dx, 100 * dy))
+              % (t, st.open_count, 100 * (st.open_count / q - 1),
+                 100 * (xs.mean() / x - 1), 100 * (ys.mean() / y - 1)))
 
 
 if __name__ == "__main__":

@@ -57,7 +57,6 @@ from .analysis import (
     independence_greedy,
     max_degree,
     ramsey_summary,
-    summary_to_csv,
 )
 from .graphio import (
     edge_log_text,
@@ -76,6 +75,7 @@ from .harness import (
     run_experiment,
     run_trial,
     trial_seed,
+    write_csv,
 )
 
 __version__ = "0.1.0"

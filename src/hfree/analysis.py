@@ -14,6 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .process import K3, K4
+from .trajectory import time_scale
+
 EXACT_CAP = 60
 
 
@@ -139,11 +142,11 @@ def max_degree(adj) -> int:
 # n and ln n, and the implied Ramsey ratio n / (the paper's bound at
 # t = alpha + 1): R(3,t) = Theta(t^2/log t), R(4,t) = Omega(t^{5/2}/log^2 t)
 _SCALES = {
-    "K3": (lambda n, lg: n ** 1.5 * math.sqrt(lg),
+    "K3": (lambda n, lg: time_scale(K3, n) * math.sqrt(lg),
            lambda n, lg: math.sqrt(n * lg),
            lambda n, lg: math.sqrt(n * lg),
            lambda n, t: n * math.log(t) / t ** 2),
-    "K4": (lambda n, lg: n ** 1.6 * lg ** 0.2,
+    "K4": (lambda n, lg: time_scale(K4, n) * lg ** 0.2,
            lambda n, lg: n ** 0.4 * lg ** 0.8,
            lambda n, lg: n ** 0.6 * lg ** 0.2,
            lambda n, t: n * math.log(t) ** 2 / t ** 2.5),
@@ -183,12 +186,3 @@ def ramsey_summary(records):
 SUMMARY_COLUMNS = ["rule", "n", "trials", "mean_M_ratio", "std_M_ratio",
                    "mean_alpha_ratio", "mean_delta_ratio", "implied_ramsey_ratio"]
 
-
-def summary_to_csv(rows, path, header_comment=None):
-    with open(path, "w", encoding="utf-8") as fh:
-        if header_comment:
-            fh.write("# %s\n" % header_comment)
-        fh.write(",".join(SUMMARY_COLUMNS) + "\n")
-        for row in rows:
-            fh.write(",".join(repr(row[c]) if isinstance(row[c], float) else str(row[c])
-                              for c in SUMMARY_COLUMNS) + "\n")

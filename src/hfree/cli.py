@@ -37,11 +37,17 @@ def _add_plot_data(sub):
     p.add_argument("--out", default="plotdata", help="output directory")
 
 
+def _at_least_one(text):
+    if not text.isdigit() or int(text) < 1:
+        raise argparse.ArgumentTypeError("need an integer >= 1, got %r" % text)
+    return int(text)
+
+
 def _add_verify(sub):
     p = sub.add_parser("verify", help="re-run records and check reproducibility")
     p.add_argument("--records", required=True)
-    p.add_argument("--max-trials", type=int, default=None,
-                   help="only replay the first k records")
+    p.add_argument("--max-trials", type=_at_least_one, default=None,
+                   help="only replay the first k records (k >= 1)")
 
 
 def _add_bounds(sub):
@@ -129,7 +135,11 @@ def _global_index(cfg, rec) -> int:
 
 
 def cmd_bounds(args) -> int:
-    spec = MartingaleSpec(args.eta, args.big_n, args.m, args.a)
+    try:
+        spec = MartingaleSpec(args.eta, args.big_n, args.m, args.a)
+    except ValueError as exc:
+        print("bad bounds: %s" % exc, file=sys.stderr)
+        return 1
     print("eta=%g N=%g m=%d a=%g" % (spec.eta, spec.big_n, spec.m, spec.a))
     try:
         sub = submartingale_tail(spec)

@@ -4,9 +4,10 @@ envelope auditing, and persistence.
 A trial runs the process and snapshots it every `snapshot_stride` steps.  A
 K3 snapshot counts X/Y/Z from the status matrix at that moment: in full
 ledger mode for every non-edge pair (`ledger.oracle_counts_matrix`), in
-sampled mode for a fixed witness family (`ledger.sampled_counts`).  Nothing
-is updated between snapshots; the incremental `PairLedger` is the audit of
-these counts in the tests, not part of a run.
+sampled mode for a fixed witness family (`ledger.sampled_counts`); either
+way a pair is named by its code u*n+v.  Nothing is updated between
+snapshots; the incremental `PairLedger` is the audit of these counts in the
+tests, not part of a run.
 
 Records are line-delimited JSON, one completed trial per line, with the
 resolved configuration echoed on the first line.  Given the same config and
@@ -166,13 +167,9 @@ def load_config(path, overrides=None) -> ExperimentConfig:
 
 # ---------------------------------------------------------------- resolution
 
-def time_scale(rule: int, n: int) -> float:
-    return n ** 1.5 if rule == K3 else n ** 1.6
-
-
 def resolve_stride(cfg: ExperimentConfig, n: int) -> int:
     if cfg.snapshot_stride == "auto":
-        return max(1, round(time_scale(cfg.rule, n) / 100.0))
+        return max(1, round(trajectory.time_scale(cfg.rule, n) / 100.0))
     return int(cfg.snapshot_stride)
 
 
@@ -198,10 +195,10 @@ def resolve_stop(cfg: ExperimentConfig, n: int):
         return None
     if spec == "paper":
         if cfg.rule == K3:
-            return math.ceil(cfg.mu * math.sqrt(math.log(n)) * n ** 1.5)
-        return math.ceil(cfg.mu * n ** 1.6 * math.log(n) ** 0.2)
+            return math.ceil(cfg.mu * math.sqrt(math.log(n)) * trajectory.time_scale(K3, n))
+        return math.ceil(cfg.mu * trajectory.time_scale(K4, n) * math.log(n) ** 0.2)
     if spec.startswith("t:"):
-        return round(_stop_arg(spec) * time_scale(cfg.rule, n))
+        return round(_stop_arg(spec) * trajectory.time_scale(cfg.rule, n))
     return _stop_arg(spec)
 
 
@@ -214,21 +211,19 @@ def resolve_ledger_mode(cfg: ExperimentConfig, n: int) -> str:
 
 # -------------------------------------------------------------------- trials
 
-def _k3_snapshot(state, n, witness_ids):
+def _k3_snapshot(state, n, witness_codes):
     """Snapshot of Q and the X/Y/Z counts of the tracked non-edge pairs:
-    every pair recounted from S (witness_ids None, full mode), or the
-    sorted witness pair ids (sampled mode)."""
+    every pair recounted from S (witness_codes None, full mode), or the
+    sorted witness codes (sampled mode).  Pairs are labelled by code u*n+v."""
     i = state.steps
-    t = i / n ** 1.5
-    q_pred, x_pred, y_pred = trajectory.k3_eval(t)
-    if witness_ids is None:
-        # codes u*n+v of the non-edge pairs u < v, in row-major order
+    t, (q_pred, x_pred, y_pred, _), _ = trajectory.k3_centers(n, i)
+    if witness_codes is None:
+        # codes of the non-edge pairs u < v, in row-major order
         labels = np.flatnonzero(np.triu(state.status_matrix() != EDGE, 1))
         xs, ys, zs = (m.ravel()[labels] for m in ledger_mod.oracle_counts_matrix(state))
     else:
-        x, y, z, nonedge = ledger_mod.sampled_counts(state, witness_ids)
-        labels = witness_ids[nonedge]
-        xs, ys, zs = x[nonedge], y[nonedge], z[nonedge]
+        labels = witness_codes[state.status_matrix().ravel()[witness_codes] != EDGE]
+        xs, ys, zs = ledger_mod.sampled_counts(state, labels)
     report = trajectory.k3_bad_event(n, i, state.open_count, labels, xs, ys, zs)
     return {
         "i": i,
@@ -239,19 +234,18 @@ def _k3_snapshot(state, n, witness_ids):
         "y_mean": float(ys.mean()) if len(ys) else 0.0,
         "y_max": int(ys.max()) if len(ys) else 0,
         "z_max": int(zs.max()) if len(zs) else 0,
-        "q_pred": q_pred * n * n,
-        "x_pred": x_pred * n,
-        "y_pred": y_pred * math.sqrt(n),
+        "q_pred": q_pred,
+        "x_pred": x_pred,
+        "y_pred": y_pred,
         "violations": len(report.violations),
     }
 
 
-def _k4_snapshot(state, pairs, triples, n):
+def _k4_snapshot(state, n, pairs, triples):
     """Snapshot of Q and the mean witness counts of the pairs (k x 2) and
     triples (k x 3) that are not frozen."""
     i = state.steps
-    t = i / n ** 1.6
-    q_pred, x_pred, y_pred = trajectory.k4_eval(t)
+    t, q_pred, x_pred, y_pred = trajectory.k4_centers(n, i)
     sm = state.status_matrix()
     x, frozen = k4stats.k4_witness_counts(sm, pairs)
     pairs, x = pairs[~frozen], x[~frozen]
@@ -265,16 +259,25 @@ def _k4_snapshot(state, pairs, triples, n):
         "i": i,
         "t": t,
         "Q": state.open_count,
-        "q_pred": q_pred * n * n,
+        "q_pred": q_pred,
         "x_mean": x.mean(axis=0).tolist() if len(x) else [0.0] * 5,
-        "x_pred": [x_pred[f] * n ** (2.0 - 0.4 * f) for f in range(5)],
+        "x_pred": x_pred,
         "y_mean": y.mean(axis=0).tolist() if len(y) else [0.0] * 4,
-        "y_pred": [y_pred[f] * n ** (1.0 - 0.4 * f) for f in range(3)],
+        "y_pred": y_pred,
         "y3_max": int(y[:, 3].max()) if len(y) else 0,
         "witness_pairs": len(x),
         "witness_triples": len(y),
         "violations": len(report.violations),
     }
+
+
+def _pair_codes(n, ids):
+    """Codes u*n+v of the pairs u < v numbered 0, 1, 2, ... in row-major
+    order; sorted ids give sorted codes."""
+    rows = np.arange(n)
+    starts = rows * (2 * n - rows - 1) // 2  # the id of the pair (u, u+1)
+    us = np.searchsorted(starts, ids, side="right") - 1
+    return us * n + ids - starts[us] + us + 1
 
 
 def _draw_vertex_sets(rng, n, size, count):
@@ -301,21 +304,20 @@ def run_trial(cfg: ExperimentConfig, n: int, trial: int, global_index: int,
     stride = resolve_stride(cfg, n)
     stop = resolve_stop(cfg, n)
     snapshots = []
-    witness_ids = k4_pairs = k4_triples = None
-    if rule == K3:
-        if resolve_ledger_mode(cfg, n) == ledger_mod.SAMPLED:
-            k = min(cfg.witness_pairs, state.npairs)
-            witness_ids = np.sort(witness_rng.choice(state.npairs, size=k, replace=False))
+    if rule == K4:
+        family = (_draw_vertex_sets(witness_rng, n, 2, cfg.k4_witness_pairs),
+                  _draw_vertex_sets(witness_rng, n, 3, cfg.k4_witness_triples))
+    elif resolve_ledger_mode(cfg, n) == ledger_mod.SAMPLED:
+        k = min(cfg.witness_pairs, state.npairs)
+        family = (_pair_codes(n, np.sort(witness_rng.choice(state.npairs, size=k,
+                                                            replace=False))),)
     else:
-        k4_pairs = _draw_vertex_sets(witness_rng, n, 2, cfg.k4_witness_pairs)
-        k4_triples = _draw_vertex_sets(witness_rng, n, 3, cfg.k4_witness_triples)
+        family = (None,)  # full mode: every pair
+    take = _k3_snapshot if rule == K3 else _k4_snapshot
 
     def snapshot():
         t0 = clock()
-        if rule == K3:
-            snapshots.append(_k3_snapshot(state, n, witness_ids))
-        else:
-            snapshots.append(_k4_snapshot(state, k4_pairs, k4_triples, n))
+        snapshots.append(take(state, n, *family))
         spent["snapshot_s"] += clock() - t0
 
     snapshot()
@@ -454,8 +456,32 @@ def load_records(path):
 
 # ------------------------------------------------------------------ plotting
 
+def write_csv(path, columns, rows, comment=None):
+    """A CSV file: '# <comment>' if given, the header, then one line per row
+    with floats as repr and everything else as str.  Returns path."""
+    with open(path, "w", encoding="utf-8") as fh:
+        if comment:
+            fh.write("# %s\n" % comment)
+        fh.write(",".join(columns) + "\n")
+        for row in rows:
+            fh.write(",".join(repr(v) if isinstance(v, float) else str(v) for v in row) + "\n")
+    return path
+
+
 K3_TRAJ_COLUMNS = ["n", "run_id", "i", "t", "Q", "Q_pred", "X_mean", "X_pred",
                    "Y_mean", "Y_pred", "Z_max", "violations"]
+K4_TRAJ_COLUMNS = (["n", "run_id", "i", "t", "Q", "Q_pred"]
+                   + ["X%d_mean" % f for f in range(5)] + ["X%d_pred" % f for f in range(5)]
+                   + ["Y%d_mean" % f for f in range(4)] + ["Y%d_pred" % f for f in range(3)]
+                   + ["Y3_max", "violations"])
+# per rule: its CSV, its columns, and a snapshot's values between Q_pred and
+# violations
+_TRAJ_CSV = {
+    "K3": ("trajectory.csv", K3_TRAJ_COLUMNS,
+           lambda s: [s[k] for k in ("x_mean", "x_pred", "y_mean", "y_pred", "z_max")]),
+    "K4": ("k4_trajectory.csv", K4_TRAJ_COLUMNS,
+           lambda s: s["x_mean"] + s["x_pred"] + s["y_mean"] + s["y_pred"] + [s["y3_max"]]),
+}
 
 
 def emit_plotdata(records, out_dir, config=None):
@@ -465,46 +491,14 @@ def emit_plotdata(records, out_dir, config=None):
     os.makedirs(out_dir, exist_ok=True)
     echo = "config: %s" % json.dumps(config or {}, sort_keys=True)
     paths = []
-    k3_recs = [r for r in records if r["rule"] == "K3"]
-    k4_recs = [r for r in records if r["rule"] == "K4"]
-    if k3_recs:
-        path = os.path.join(out_dir, "trajectory.csv")
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("# %s\n" % echo)
-            fh.write(",".join(K3_TRAJ_COLUMNS) + "\n")
-            for rec in k3_recs:
-                for s in rec["snapshots"]:
-                    fh.write("%d,%s,%d,%r,%d,%r,%r,%r,%r,%r,%d,%d\n" % (
-                        rec["n"], rec["run_id"], s["i"], s["t"], s["Q"],
-                        s["q_pred"], s["x_mean"], s["x_pred"], s["y_mean"],
-                        s["y_pred"], s["z_max"], s["violations"]))
-        paths.append(path)
-    if k4_recs:
-        path = os.path.join(out_dir, "k4_trajectory.csv")
-        cols = (["n", "run_id", "i", "t", "Q", "Q_pred"]
-                + ["X%d_mean" % f for f in range(5)]
-                + ["X%d_pred" % f for f in range(5)]
-                + ["Y%d_mean" % f for f in range(4)]
-                + ["Y%d_pred" % f for f in range(3)]
-                + ["Y3_max", "violations"])
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("# %s\n" % echo)
-            fh.write(",".join(cols) + "\n")
-            for rec in k4_recs:
-                for s in rec["snapshots"]:
-                    row = ([rec["n"], rec["run_id"], s["i"], repr(s["t"]),
-                            s["Q"], repr(s["q_pred"])]
-                           + [repr(v) for v in s["x_mean"]]
-                           + [repr(v) for v in s["x_pred"]]
-                           + [repr(v) for v in s["y_mean"]]
-                           + [repr(v) for v in s["y_pred"]]
-                           + [s["y3_max"], s["violations"]])
-                    fh.write(",".join(str(c) for c in row) + "\n")
-        paths.append(path)
+    for rule, (name, columns, middle) in _TRAJ_CSV.items():
+        rows = [[r["n"], r["run_id"], s["i"], s["t"], s["Q"], s["q_pred"], *middle(s),
+                 s["violations"]] for r in records if r["rule"] == rule for s in r["snapshots"]]
+        if rows:
+            paths.append(write_csv(os.path.join(out_dir, name), columns, rows, echo))
     done = [r for r in records if r["completed"]]
     if done:
-        rows = analysis.ramsey_summary(done)
-        path = os.path.join(out_dir, "summary.csv")
-        analysis.summary_to_csv(rows, path, header_comment=echo)
-        paths.append(path)
+        cols = analysis.SUMMARY_COLUMNS
+        rows = ([row[c] for c in cols] for row in analysis.ramsey_summary(done))
+        paths.append(write_csv(os.path.join(out_dir, "summary.csv"), cols, rows, echo))
     return paths

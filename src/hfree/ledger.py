@@ -15,9 +15,9 @@ and *complete* if both are edges.  The counts |X_{u,v}|, |Y_{u,v}|,
   It is the audit of those identities and of the recounts above (acceptance
   criteria 1, 2 and 4, the pair-ledger demo); no experiment run uses it.
 
-The ledger and the oracles address a pair by (u, v) in the status matrix S;
-only `sampled_counts` takes the harness's witness ids.  Ledger counts freeze
-the moment a pair becomes an edge.
+The ledger and the oracles address a pair by (u, v) in the status matrix S,
+`sampled_counts` by its code u*n+v.  Ledger counts freeze the moment a pair
+becomes an edge.
 """
 
 from __future__ import annotations
@@ -154,30 +154,19 @@ def oracle_counts_matrix(state: ProcessState):
             (e @ e).astype(np.int32))
 
 
-def sampled_counts(state: ProcessState, pair_ids):
-    """Recompute (x, y, z) for the given pair ids from the current statuses,
-    zero at pairs that are edges.  Returns (x, y, z, nonedge_mask).
-
-    A pair id numbers the pairs u < v 0, 1, 2, ... in row-major order; the
-    harness draws its sampled witnesses as such ids."""
-    n = state.n
-    pair_ids = np.asarray(pair_ids, dtype=np.int64)
+def sampled_counts(state: ProcessState, codes):
+    """Recompute (x, y, z) for the pairs with the given codes u*n+v from the
+    two rows of the status matrix each names."""
     s = state.status_matrix()
-    # row u of the upper triangle starts at pair id u*(2n-u-1)/2
-    rows = np.arange(n, dtype=np.int64)
-    starts = rows * (2 * n - rows - 1) // 2
-    us = np.searchsorted(starts, pair_ids, side="right") - 1
-    vs = pair_ids - starts[us] + us + 1
-    nonedge = s[us, vs] != EDGE
+    us, vs = np.divmod(np.asarray(codes), state.n)
     su = s[us]
     sv = s[vs]
     uo = su == OPEN
     ue = su == EDGE
     vo = sv == OPEN
     ve = sv == EDGE
-    x, y, z = (np.where(nonedge, np.count_nonzero(m, axis=1), 0).astype(np.int32)
-               for m in (uo & vo, (uo & ve) | (ue & vo), ue & ve))
-    return x, y, z, nonedge
+    return tuple(np.count_nonzero(m, axis=1).astype(np.int32)
+                 for m in (uo & vo, (uo & ve) | (ue & vo), ue & ve))
 
 
 # --------------------------------------------- exact conditional expectations

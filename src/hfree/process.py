@@ -43,6 +43,8 @@ through `step` or `advance`.
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 import numpy as np
 
 K3 = 3
@@ -77,15 +79,12 @@ def _spans(starts, counts) -> np.ndarray:
     return np.arange(stops[-1] if len(stops) else 0) + (starts + counts - stops).repeat(counts)
 
 
-class StepOutcome:
+class StepOutcome(NamedTuple):
     """One step's result: the chosen edge and the pairs it closed."""
 
-    __slots__ = ("edge", "closed_ids", "step")
-
-    def __init__(self, edge, closed_ids, step):
-        self.edge = edge
-        self.closed_ids = closed_ids  # np.ndarray of codes a*n+b into S
-        self.step = step              # step count after this step
+    edge: tuple
+    closed_ids: np.ndarray  # codes a*n+b into S
+    step: int               # step count after this step
 
 
 class ProcessState:
@@ -171,27 +170,37 @@ class ProcessState:
             raise ValueError("pair {%d,%d} is not open" % (u, v))
         if u > v:
             u, v = v, u
-        us, vs = np.array([u]), np.array([v])
-        if self.rule == K3:
-            a, b = self._add_k3_batch(us, vs)
-        else:
-            a, b = self._add_k4_batch(us, vs, self._common(us, vs))
+        a, b = self._add(np.array([u]), np.array([v]))
         return StepOutcome((u, v), a * n + b, self.steps)
 
     def step(self, rng) -> StepOutcome:
         """Add one uniformly random open pair; close what it forbids."""
         return self.add_edge(*self.choose(rng))
 
-    def _add_k3_batch(self, us, vs) -> tuple[np.ndarray, np.ndarray]:
-        """Add the open pairs {us[i], vs[i]}, no two sharing a vertex, and
-        close {u_i, w} for w ~ v_i and {v_i, w} for w ~ u_i, read from the 2k
-        rows of the ends once the edges are in.  Returns the closed pairs as
-        (a, w); a pair closed from both of its ends is listed twice, which
-        needs k > 1."""
-        n, S, k = self.n, self.S, len(us)
+    def _add(self, us, vs, C=None) -> tuple[np.ndarray, np.ndarray]:
+        """Add the open pairs {us[j], vs[j]}, a run as `advance` cuts it (C:
+        its K4 rows N(us[j]) ∩ N(vs[j]), if read), and close what they forbid.
+        Returns the closed pairs as (a, b), under K3 some of them twice."""
+        S = self.S
         S[us, vs] = S[vs, us] = EDGE
+        if self.rule == K3:
+            a, b, repeats = self._k3_closed(us, vs)
+        else:
+            a, b, repeats = self._k4_closed(us, vs, C)
+        S[a, b] = S[b, a] = CLOSED
+        self.open_count -= len(us) + len(a) - repeats
+        self.steps += len(us)
+        self.edge_log.extend(zip(us.tolist(), vs.tolist()))
+        return a, b
+
+    def _k3_closed(self, us, vs) -> tuple[np.ndarray, np.ndarray, int]:
+        """(a, w, repeats): the pairs {u_i, w} with w ~ v_i and {v_i, w} with
+        w ~ u_i, read from the 2k rows of the ends once the edges are in; a
+        pair closed from both of its ends (k > 1) is listed twice, and
+        repeats counts those."""
+        n, k = self.n, len(us)
         ends = np.concatenate([us, vs])
-        rows = S[ends]
+        rows = self.S[ends]
         edge = rows == EDGE
         mask = rows == OPEN
         mask[:k] &= edge[k:]
@@ -199,47 +208,31 @@ class ProcessState:
         # a 1-D nonzero of the flat mask lists the pairs in the row-major
         # order of a 2-D nonzero at under half its cost at n=2000
         side, w = np.divmod(mask.ravel().nonzero()[0], n)
-        a = ends[side]
-        S[a, w] = S[w, a] = CLOSED
-        closed = len(w)
+        repeats = 0
         if k > 1:
             # a pair of two batch ends, {u_i, v_j} say, can be closed from both
             both = mask[:, ends]
-            closed -= int(np.count_nonzero(both & both.T)) // 2
-        self.open_count -= k + closed
-        self.steps += k
-        self.edge_log.extend(zip(us.tolist(), vs.tolist()))
-        return a, w
+            repeats = int(np.count_nonzero(both & both.T)) // 2
+        return ends[side], w, repeats
 
     def _common(self, us, vs) -> np.ndarray:
         """k x n bool rows C[j] = N(us[j]) ∩ N(vs[j])."""
         return (self.S[us] == EDGE) & (self.S[vs] == EDGE)
 
-    def _add_k4_batch(self, us, vs, C) -> tuple[np.ndarray, np.ndarray]:
-        """Add the open pairs {us[j], vs[j]}, no two sharing a vertex and no
-        earlier one inside C[j] = N(us[j]) ∩ N(vs[j]), and close what they
-        forbid (`_k4_closed`).  Returns the closed pairs as (a, b), a < b,
-        each once."""
-        S, k = self.S, len(us)
-        S[us, vs] = S[vs, us] = EDGE
-        a, b = self._k4_closed(us, vs, C)
-        S[a, b] = S[b, a] = CLOSED
-        self.open_count -= k + len(a)
-        self.steps += k
-        self.edge_log.extend(zip(us.tolist(), vs.tolist()))
-        return a, b
-
-    def _k4_closed(self, us, vs, C) -> tuple[np.ndarray, np.ndarray]:
+    def _k4_closed(self, us, vs, C) -> tuple[np.ndarray, np.ndarray, int]:
         """The open pairs of the K4-minus-a-pair witnesses of the new edges
         {us[j], vs[j]}, read once they are in: the pairs inside C[j], and
         {u_j, w} with w ~ v_j and w adjacent to a vertex of C[j] (and the
-        mirror case {v_j, w}).  An edge with C[j] empty closes nothing."""
+        mirror case {v_j, w}), each once.  An edge with C[j] empty closes
+        nothing.  C is read here if not given: the new edges leave it as is."""
         n, S, k = self.n, self.S, len(us)
+        if C is None:
+            C = self._common(us, vs)
         # C as entries (j, c[e]) in row-major order; row j holds the
         # entries stop[j] - size[j] .. stop[j] - 1
         cj, c = np.divmod(C.ravel().nonzero()[0], n)
         if not len(c):
-            return c, c
+            return c, c, 0
         size = np.bincount(cj, minlength=k)
         stop = size.cumsum()
         # the pairs inside C[j]: each entry with the later ones of its row
@@ -266,7 +259,7 @@ class ProcessState:
             # of the default sort adds 0.3-2 MB of resident memory
             codes.sort(kind="stable")
             codes = np.concatenate([codes[:1], codes[1:][codes[1:] != codes[:-1]]])
-        return np.divmod(codes, n)
+        return (*np.divmod(codes, n), 0)
 
     def advance(self, rng, max_steps: int | None = None) -> int:
         """Add up to max_steps uniformly random open pairs (no cap: until no
@@ -283,16 +276,14 @@ class ProcessState:
             sorted_ends = ends[order]
             again = order[1:][sorted_ends[1:] == sorted_ends[:-1]]
             k = min(int(again.min()) // 2 if len(again) else len(codes), end - self.steps)
-            us, vs = us[:k], vs[:k]
-            if self.rule == K3:
-                self._add_k3_batch(us, vs)
-            else:
-                # K4: and at the first pair with an earlier pair inside its C
+            us, vs, C = us[:k], vs[:k], None
+            if self.rule == K4:
+                # and at the first pair with an earlier pair inside its C
                 C = self._common(us, vs)
                 inside = np.tril(C[:, us] & C[:, vs], -1).any(axis=1)
                 if inside.any():
                     k = int(inside.argmax())
                     us, vs, C = us[:k], vs[:k], C[:k]
-                self._add_k4_batch(us, vs, C)
+            self._add(us, vs, C)
             self._pending = codes[k:]
         return self.steps - start

@@ -1,7 +1,9 @@
 """Closed-form trajectories, error envelopes, and deviation detectors.
 
 Scaled time is t = i / n^{3/2} for the triangle-free process and
-t = i / n^{8/5} for the K4-free process.  All logarithms are natural.
+t = i / n^{8/5} for the K4-free process (`time_scale`).  `k3_centers` and
+`k4_centers` put the closed forms on the scale of the counts; the snapshot
+records and the deviation scans both read them.  All logarithms are natural.
 """
 
 from __future__ import annotations
@@ -10,6 +12,13 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+
+from .process import K3, K4
+
+
+def time_scale(rule: int, n: int) -> float:
+    """The steps per unit of scaled time: n^{3/2} (K3) or n^{8/5} (K4)."""
+    return n ** 1.5 if rule == K3 else n ** 1.6
 
 
 # ------------------------------------------------------------------ K3 forms
@@ -59,17 +68,22 @@ def k3_envelope(t: float, n: int):
 
 # ------------------------------------------------------------------ K4 forms
 
+# (m, s) of the families x_f (f < 5) and y_f (f < 3)
+_K4_FAMILIES = ((5, -1), (3, 0))
+
+
+def _k4_term(f: int, m: int, s: int, k: int, t: float) -> float:
+    """c_f t^f e^{-16 k t^5} with c_f = 2^{f+s} C(m,f); at k = m - f, member
+    f of the family (m, s)."""
+    return 2.0 ** (f + s) * math.comb(m, f) * t ** f * math.exp(-16.0 * k * t ** 5)
+
+
 def k4_eval(t: float):
     """(q, [x_0..x_4], [y_0..y_2]) at scaled time t."""
     if t < 0:
         raise ValueError("t must be nonnegative")
-    t5 = t ** 5
-    q = 0.5 * math.exp(-16.0 * t5)
-    xs = [2.0 ** (f - 1) * math.comb(5, f) * t ** f * math.exp(-16.0 * (5 - f) * t5)
-          for f in range(5)]
-    ys = [2.0 ** f * math.comb(3, f) * t ** f * math.exp(-16.0 * (3 - f) * t5)
-          for f in range(3)]
-    return q, xs, ys
+    xs, ys = ([_k4_term(f, m, s, m - f, t) for f in range(m)] for m, s in _K4_FAMILIES)
+    return 0.5 * math.exp(-16.0 * t ** 5), xs, ys
 
 
 def k4_ode_residual(t: float):
@@ -78,49 +92,24 @@ def k4_ode_residual(t: float):
     dx_f/dt = (6-f) x_{f-1}/q - (5-f) x_f x_4 / q,
     dy_0/dt = -3 y_0 x_4 / q,
     dy_f/dt = (4-f) y_{f-1}/q - (3-f) y_f x_4 / q."""
-    q, xs, ys = k4_eval(t)
-    t5 = t ** 5
-    dt5 = 80.0 * t ** 4  # d(16 t^5)/dt
-    dq = 0.5 * (-dt5) * math.exp(-16.0 * t5)
-    # d/dt [c t^f e^{-16(5-f)t^5}] = c (f t^{f-1} - 80(5-f) t^{f+4}) e^{...}
-    dxs = []
-    for f in range(5):
-        c = 2.0 ** (f - 1) * math.comb(5, f)
-        expo = math.exp(-16.0 * (5 - f) * t5)
-        if f == 0:
-            dxs.append(c * (-80.0 * 5 * t ** 4) * expo)
-        else:
-            dxs.append(c * (f * t ** (f - 1) - 80.0 * (5 - f) * t ** (f + 4)) * expo)
-    dys = []
-    for f in range(3):
-        c = 2.0 ** f * math.comb(3, f)
-        expo = math.exp(-16.0 * (3 - f) * t5)
-        if f == 0:
-            dys.append(c * (-80.0 * 3 * t ** 4) * expo)
-        else:
-            dys.append(c * (f * t ** (f - 1) - 80.0 * (3 - f) * t ** (f + 4)) * expo)
-    x4 = xs[4]
-    r_q = dq + x4
-    # divisions by q are carried out analytically (x4/q = 80 t^4, and
-    # x_{f-1}/q = 2 x_{f-1} e^{16 t^5}) so the residuals stay finite where
-    # e^{-16 t^5} underflows
+    _, xs, ys = k4_eval(t)
+    r_q = 0.5 * (-80.0 * t ** 4) * math.exp(-16.0 * t ** 5) + xs[4]
+    # divisions by q are carried out analytically (x_4/q = 80 t^4 and
+    # z_{f-1}/q = 2 c_{f-1} t^{f-1} e^{-16(m-f)t^5}) so the residuals stay
+    # finite where e^{-16 t^5} underflows
     x4_over_q = 80.0 * t ** 4
-
-    def x_over_q(f):
-        c = 2.0 ** (f - 1) * math.comb(5, f)
-        return 2.0 * c * t ** f * math.exp(-16.0 * (4 - f) * t5)
-
-    def y_over_q(f):
-        c = 2.0 ** f * math.comb(3, f)
-        return 2.0 * c * t ** f * math.exp(-16.0 * (2 - f) * t5)
-
-    rx = [dxs[0] + 5.0 * xs[0] * x4_over_q]
-    for f in range(1, 5):
-        rx.append(dxs[f] - (6 - f) * x_over_q(f - 1) + (5 - f) * xs[f] * x4_over_q)
-    ry = [dys[0] + 3.0 * ys[0] * x4_over_q]
-    for f in range(1, 3):
-        ry.append(dys[f] - (4 - f) * y_over_q(f - 1) + (3 - f) * ys[f] * x4_over_q)
-    return r_q, rx, ry
+    res = ([], [])
+    for r, zs, (m, s) in zip(res, (xs, ys), _K4_FAMILIES):
+        for f, z in enumerate(zs):
+            # d/dt [c_f t^f e^{-16(m-f)t^5}] = f c_f t^{f-1} e^{...} - 80(m-f) t^4 z_f,
+            # with f c_f = m 2^{f+s} C(m-1, f-1)
+            dz = -80.0 * (m - f) * t ** 4 * z
+            rhs = -(m - f) * z * x4_over_q
+            if f:
+                dz += m * _k4_term(f - 1, m - 1, s + 1, m - f, t)
+                rhs += (m + 1 - f) * _k4_term(f - 1, m, s + 1, m - f, t)
+            r.append(dz - rhs)
+    return (r_q, *res)
 
 
 # The paper leaves p(t) unspecified beyond degree 5 with positive
@@ -164,6 +153,29 @@ def k4_envelope(t: float, n: int, p_coeffs=DEFAULT_P_COEFFS):
     return band_q, bands_x, bands_y
 
 
+# ----------------------------------------------------- centers on count scale
+
+def k3_centers(n: int, i: int):
+    """(t, centers, bands) at step i: t = i / n^{3/2}, the centers of the
+    counts (Q, X, Y, Z) = (q n^2, x n, y sqrt(n), 0) and their allowed
+    deviations (g_q n^2, g_x n, g_y sqrt(n), (ln n)^2)."""
+    t = i / time_scale(K3, n)
+    q, x, y = k3_eval(t)
+    g_q, g_x, g_y = k3_envelope(t, n)
+    sq = math.sqrt(n)
+    return (t, (q * n * n, x * n, y * sq, 0.0),
+            (g_q * n * n, g_x * n, g_y * sq, math.log(n) ** 2))
+
+
+def k4_centers(n: int, i: int):
+    """(t, Q, [X_0..X_4], [Y_0..Y_2]) at step i: t = i / n^{8/5} and the
+    centers q n^2, x_f n^{2-2f/5} and y_f n^{1-2f/5} of the counts."""
+    t = i / time_scale(K4, n)
+    q, xs, ys = k4_eval(t)
+    return (t, q * n * n, [xs[f] * n ** (2.0 - 0.4 * f) for f in range(5)],
+            [ys[f] * n ** (1.0 - 0.4 * f) for f in range(3)])
+
+
 # ------------------------------------------------------------ deviation scan
 
 @dataclass
@@ -183,23 +195,13 @@ class BadEventReport:
         return bool(self.violations)
 
 
-def _k3_pair_bands(n: int, t: float):
-    """Centers and allowed deviations of X, Y and Z for one pair at time t."""
-    _, x, y = k3_eval(t)
-    _, g_x, g_y = k3_envelope(t, n)
-    sq = math.sqrt(n)
-    return (x * n, y * sq, 0.0), (g_x * n, g_y * sq, math.log(n) ** 2)
-
-
 def k3_pair_flags(n: int, i: int, xs, ys, zs) -> np.ndarray:
     """(k, 3) boolean mask of the pair-count deviations k3_bad_event reports:
-    columns X, Y, Z, flagged by abs(float(c) - center) >= band for X and Y
-    and float(z) >= (ln n)^2 for Z, elementwise in float64."""
-    centers, bands = _k3_pair_bands(n, i / n ** 1.5)
+    columns X, Y, Z, flagged by abs(float(c) - center) >= band, elementwise
+    in float64; for a count z >= 0 the Z test is z >= (ln n)^2."""
+    _, centers, bands = k3_centers(n, i)
     c = np.stack([np.asarray(v, dtype=np.float64) for v in (xs, ys, zs)], axis=1)
-    flags = np.abs(c - centers) >= bands
-    flags[:, 2] = c[:, 2] >= bands[2]
-    return flags
+    return np.abs(c - centers[1:]) >= bands[1:]
 
 
 def k3_bad_event(n: int, i: int, q_count: int, labels=(), xs=(), ys=(),
@@ -208,19 +210,16 @@ def k3_bad_event(n: int, i: int, q_count: int, labels=(), xs=(), ys=(),
     |X| outside x n +- g_x n, |Y| outside y sqrt(n) +- g_y sqrt(n),
     |Z| >= (ln n)^2.  labels, xs, ys and zs hold one entry per tracked pair;
     violations come in that order, X, Y, Z within a pair."""
-    t = i / n ** 1.5
-    q, _, _ = k3_eval(t)
-    g_q, _, _ = k3_envelope(t, n)
+    _, centers, bands = k3_centers(n, i)
     rep = BadEventReport(step=i)
-    if abs(q_count - q * n * n) >= g_q * n * n:
-        rep.violations.append(Violation("Q", q_count, q * n * n, g_q * n * n))
+    if abs(q_count - centers[0]) >= bands[0]:
+        rep.violations.append(Violation("Q", q_count, centers[0], bands[0]))
     counts = (xs, ys, zs)
-    centers, bands = _k3_pair_bands(n, t)
     for p, k in zip(*(a.tolist() for a in np.nonzero(k3_pair_flags(n, i, *counts)))):
         # .item() makes a numpy count a Python number
         rep.violations.append(Violation("%s %s" % ("XYZ"[k], labels[p]),
                                         np.asarray(counts[k][p]).item(),
-                                        centers[k], bands[k]))
+                                        centers[k + 1], bands[k + 1]))
     return rep
 
 
@@ -229,24 +228,21 @@ def k4_bad_event(n: int, i: int, q_count: int, pair_counts=(), triple_counts=(),
     """K4 analogue.  pair_counts yields (label, [5 counts]); triple_counts
     yields (label, [4 counts]).  The Y bands are one-sided and |Y_{A,3}| > 15
     is flagged outright."""
-    t = i / n ** 1.6
-    q, xs, ys = k4_eval(t)
+    t, q_center, x_centers, y_centers = k4_centers(n, i)
     band_q, bands_x, bands_y = k4_envelope(t, n, p_coeffs)
     rep = BadEventReport(step=i)
-    if abs(q_count - q * n * n) >= band_q:
-        rep.violations.append(Violation("Q", q_count, q * n * n, band_q))
+    if abs(q_count - q_center) >= band_q:
+        rep.violations.append(Violation("Q", q_count, q_center, band_q))
     for label, counts in pair_counts:
         for f in range(5):
-            center = xs[f] * n ** (2.0 - 2.0 * f / 5.0)
-            if abs(counts[f] - center) >= bands_x[f]:
+            if abs(counts[f] - x_centers[f]) >= bands_x[f]:
                 rep.violations.append(
-                    Violation("X%d %s" % (f, label), counts[f], center, bands_x[f]))
+                    Violation("X%d %s" % (f, label), counts[f], x_centers[f], bands_x[f]))
     for label, counts in triple_counts:
         for f in range(3):
-            center = ys[f] * n ** (1.0 - 2.0 * f / 5.0)
-            if counts[f] > center + bands_y[f]:
+            if counts[f] > y_centers[f] + bands_y[f]:
                 rep.violations.append(
-                    Violation("Y%d %s" % (f, label), counts[f], center, bands_y[f]))
+                    Violation("Y%d %s" % (f, label), counts[f], y_centers[f], bands_y[f]))
         if counts[3] > 15:
             rep.violations.append(Violation("Y3 %s" % (label,), counts[3], 0.0, 15.0))
     return rep

@@ -85,26 +85,21 @@ def independence_greedy_sets(n, adj, rng, repeats=32):
     return AlphaResult(len(best), False, sorted(best))
 
 
-def sampled_counts_loop(state, pair_ids):
-    """Reference for ledger.sampled_counts: one pair id at a time."""
+def sampled_counts_loop(state, codes):
+    """Reference for ledger.sampled_counts: one pair code u*n+v at a time."""
     s = state.status_matrix()
-    k = len(pair_ids)
+    k = len(codes)
     x = np.zeros(k, dtype=np.int32)
     y = np.zeros(k, dtype=np.int32)
     z = np.zeros(k, dtype=np.int32)
-    nonedge = np.ones(k, dtype=bool)
-    upper_u, upper_v = np.triu_indices(state.n, 1)  # pair ids index these
-    for i, pid in enumerate(np.asarray(pair_ids).tolist()):
-        u, v = int(upper_u[pid]), int(upper_v[pid])
-        if s[u, v] == EDGE:
-            nonedge[i] = False
-            continue
+    for i, code in enumerate(np.asarray(codes).tolist()):
+        u, v = divmod(code, state.n)
         uo, ue = s[u] == OPEN, s[u] == EDGE
         vo, ve = s[v] == OPEN, s[v] == EDGE
         x[i] = np.count_nonzero(uo & vo)
         y[i] = np.count_nonzero((uo & ve) | (ue & vo))
         z[i] = np.count_nonzero(ue & ve)
-    return x, y, z, nonedge
+    return x, y, z
 
 
 def k4_witness_counts_pair(S, A):

@@ -10,9 +10,10 @@ from hfree.analysis import (
     independence_exact,
     independence_greedy,
     max_degree,
+    SUMMARY_COLUMNS,
     ramsey_summary,
-    summary_to_csv,
 )
+from hfree.harness import write_csv
 from hfree.process import EDGE, K3, K4, ProcessState
 
 
@@ -122,7 +123,7 @@ def test_ramsey_summary(tmp_path):
     assert rows[0]["mean_M_ratio"] == pytest.approx(0.4, abs=0.01)
     assert rows[0]["std_M_ratio"] == 0.0
     path = tmp_path / "summary.csv"
-    summary_to_csv(rows, path, header_comment="test")
+    write_csv(path, SUMMARY_COLUMNS, ([r[c] for c in SUMMARY_COLUMNS] for r in rows), "test")
     lines = path.read_text().splitlines()
     assert lines[0] == "# test"
     assert lines[1].startswith("rule,n,trials,mean_M_ratio")

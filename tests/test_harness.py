@@ -4,8 +4,8 @@ import math
 import numpy as np
 import pytest
 
-from conftest import has_clique, k3_bad_event_scalar
-from hfree import analysis, cli, harness
+from conftest import has_clique, k3_bad_event_scalar, sampled_counts_loop
+from hfree import analysis, cli, harness, trajectory
 from hfree.ledger import FULL, PairLedger
 from hfree.process import EDGE, ProcessState
 from hfree.harness import (
@@ -213,6 +213,59 @@ def test_run_trial_k4_record():
     json.dumps(rec)
 
 
+def test_snapshot_preds_are_the_bad_event_centers():
+    # a forced violation of each variable carries the center the scan used;
+    # the record's *_pred entries must be those same floats
+    big = 10 ** 100
+    for process, n in (("K3", 80), ("K4", 400)):
+        cfg = ExperimentConfig(process=process, n_list=(n,), base_seed=4, stop="t:0.3",
+                               witness_pairs=5, k4_witness_pairs=2, k4_witness_triples=2)
+        rec, _ = run_trial(cfg, n, 0, 0)
+        assert len(rec["snapshots"]) > 20
+        for s in rec["snapshots"]:
+            if process == "K3":
+                rep = trajectory.k3_bad_event(n, s["i"], big, ["p"], [big], [big], [0])
+                want = [s["q_pred"], s["x_pred"], s["y_pred"]]
+            else:
+                rep = trajectory.k4_bad_event(n, s["i"], big, [("p", [big] * 5)],
+                                              [("t", [big] * 4)])
+                want = [s["q_pred"], *s["x_pred"], *s["y_pred"], 0.0]
+            assert [v.center for v in rep.violations] == want
+
+
+def test_sampled_mode_labels_are_codes_of_the_counted_pairs(monkeypatch):
+    # at n > 64 a K3 trial counts a drawn witness family; each label that
+    # reaches the scan is the code u*n+v, u < v, of a non-edge pair whose
+    # X/Y/Z are the counts of the two rows it names at that step
+    n = 90
+    assert np.array_equal(harness._pair_codes(n, np.arange(n * (n - 1) // 2)),
+                          np.flatnonzero(np.triu(np.ones((n, n), dtype=bool), 1)))
+    seen = []
+    scan = trajectory.k3_bad_event
+
+    def spy(n, i, q_count, labels, xs, ys, zs):
+        seen.append((i, np.asarray(labels), xs, ys, zs))
+        return scan(n, i, q_count, labels, xs, ys, zs)
+
+    monkeypatch.setattr(trajectory, "k3_bad_event", spy)
+    cfg = ExperimentConfig(process="K3", n_list=(n,), base_seed=5, witness_pairs=60)
+    assert resolve_ledger_mode(cfg, n) == "sampled"
+    rec, edge_log = run_trial(cfg, n, 0, 0)
+    assert len(seen) == len(rec["snapshots"]) > 20
+    family = seen[0][1]
+    assert len(family) == 60 and np.all(np.diff(family) > 0)
+    st = ProcessState(n, 3)
+    for i, labels, *counts in seen:
+        while st.steps < i:
+            st.add_edge(*edge_log[st.steps])
+        u, v = np.divmod(labels, n)
+        assert np.all(u < v) and np.isin(labels, family).all()
+        assert np.array_equal(labels, family[st.status_matrix()[divmod(family, n)] != EDGE])
+        for got, want in zip(counts, sampled_counts_loop(st, labels)):
+            assert np.array_equal(got, want)
+    assert len(seen[-1][1]) < 60  # some witnesses became edges
+
+
 def test_capped_run_has_no_m():
     cfg = ExperimentConfig(process="K3", n_list=(30,), trials=1, stop="steps:10")
     rec, _ = run_trial(cfg, 30, 0, 0)
@@ -276,6 +329,64 @@ def test_emit_plotdata(tmp_path):
     assert any(p.endswith("summary.csv") for p in paths)
     with pytest.raises(ValueError):
         harness.emit_plotdata([], tmp_path / "plot2")
+
+
+def test_emit_plotdata_rows_parse_back(tmp_path):
+    # K3 and K4 records in one call: every row has a field per column, and
+    # every field reads back as the snapshot or summary value it came from
+    recs = (run_experiment(ExperimentConfig(process="K3", n_list=(14, 70), trials=2,
+                                            base_seed=8))
+            + run_experiment(ExperimentConfig(process="K4", n_list=(16,), trials=2,
+                                              base_seed=8, k4_witness_pairs=3,
+                                              k4_witness_triples=3)))
+    harness.emit_plotdata(recs, tmp_path, {"k": 1})
+    want = {"trajectory.csv": [], "k4_trajectory.csv": [], "summary.csv": [
+        [row[c] for c in analysis.SUMMARY_COLUMNS] for row in analysis.ramsey_summary(recs)]}
+    for rec in recs:
+        for s in rec["snapshots"]:
+            head = [rec["n"], rec["run_id"], s["i"], s["t"], s["Q"], s["q_pred"]]
+            if rec["rule"] == "K3":
+                want["trajectory.csv"].append(head + [s[k] for k in (
+                    "x_mean", "x_pred", "y_mean", "y_pred", "z_max", "violations")])
+            else:
+                want["k4_trajectory.csv"].append(
+                    head + s["x_mean"] + s["x_pred"] + s["y_mean"] + s["y_pred"]
+                    + [s["y3_max"], s["violations"]])
+    columns = {"trajectory.csv": harness.K3_TRAJ_COLUMNS,
+               "k4_trajectory.csv": harness.K4_TRAJ_COLUMNS,
+               "summary.csv": analysis.SUMMARY_COLUMNS}
+    for name, rows in want.items():
+        lines = (tmp_path / name).read_text().splitlines()
+        assert lines[:2] == ['# config: {"k": 1}', ",".join(columns[name])]
+        assert len(lines) - 2 == len(rows) > 1
+        for line, row in zip(lines[2:], rows):
+            fields = line.split(",")
+            assert len(fields) == len(columns[name]) == len(row)
+            # floats are written as repr, so they read back exactly
+            assert [type(v)(f) for f, v in zip(fields, row)] == row
+
+
+def test_bounds_rejects_bad_spec_in_one_line(capsys):
+    assert cli.main(["bounds", "--eta", "1", "--big-n", "2", "--m", "0", "--a", "30"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1 and "positive" in captured.err
+
+
+def test_verify_rejects_max_trials_below_one(tmp_path, capsys):
+    # a cap below 1 would replay fewer records than asked (or none) and
+    # still report success
+    run_experiment(ExperimentConfig(process="K3", n_list=(10,), trials=2, base_seed=3),
+                   tmp_path)
+    for k in ("0", "-1"):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["verify", "--records", str(tmp_path), "--max-trials", k])
+        captured = capsys.readouterr()
+        assert exc.value.code == 2 and captured.out == ""
+        assert captured.err.splitlines()[-1] == (
+            "hfree verify: error: argument --max-trials: need an integer >= 1, got %r" % k)
+    assert cli.main(["verify", "--records", str(tmp_path), "--max-trials", "1"]) == 0
+    assert "1/1 records reproduced" in capsys.readouterr().out
 
 
 def test_cli_end_to_end(tmp_path, capsys):

@@ -183,27 +183,31 @@ def test_q_drop_exact_identity(rng):
         led.apply_edge(out, st)
 
 
-def test_sampled_counts_marks_edges(rng):
+def _upper_codes(n):
+    """Codes u*n+v of the pairs u < v, in row-major order."""
+    return np.flatnonzero(np.triu(np.ones((n, n), dtype=bool), 1))
+
+
+def test_sampled_counts_match_oracle_at_every_code(rng):
+    # edges too: a pair's counts come from the two rows its code names
     st = ProcessState(10, 3)
     st.advance(rng, 8)
-    all_ids = np.arange(st.npairs)
-    x, y, z, nonedge = sampled_counts(st, all_ids)
-    assert np.count_nonzero(~nonedge) == 8
-    assert np.array_equal(~nonedge, st.status_matrix()[np.triu_indices(10, 1)] == EDGE)
+    codes = _upper_codes(10)
+    for got, want in zip(sampled_counts(st, codes), oracle_counts_matrix(st)):
+        assert np.array_equal(got, want.ravel()[codes])
 
 
 @pytest.mark.parametrize("n,stop", [(5, 3), (30, 60), (200, 1500), (200, None)])
 def test_sampled_counts_match_loop(n, stop, rng):
     st = ProcessState(n, 3)
     st.advance(rng, stop)
-    # pair ids count the pairs u < v in row-major order
-    edges = np.flatnonzero(st.status_matrix()[np.triu_indices(n, 1)] == EDGE)[:10]
-    drawn = np.random.default_rng(n).choice(st.npairs, size=min(50, st.npairs),
-                                            replace=False)
-    ids = np.unique(np.concatenate([drawn, edges, [0, st.npairs - 1]]))
-    got = sampled_counts(st, ids)
-    want = sampled_counts_loop(st, ids)
-    assert not got[3].all()  # some witnesses are edges
+    upper = _upper_codes(n)
+    edges = np.flatnonzero(np.triu(st.status_matrix() == EDGE, 1))[:10]
+    drawn = np.random.default_rng(n).choice(upper, size=min(50, st.npairs), replace=False)
+    codes = np.unique(np.concatenate([drawn, edges, upper[[0, -1]]]))
+    got = sampled_counts(st, codes)
+    want = sampled_counts_loop(st, codes)
+    assert (st.status_matrix().ravel()[codes] == EDGE).any()  # some witnesses are edges
     for a, b in zip(got, want):
         assert a.dtype == b.dtype and np.array_equal(a, b)
 

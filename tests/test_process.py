@@ -319,8 +319,8 @@ def test_k4_run_stops_at_pair_with_earlier_pair_inside_its_c():
     drawn = [(2, 3), (0, 1), (4, 5), (6, 7)]
     idx = np.searchsorted(st._open, [u * 8 + v for u, v in drawn])
     runs = []
-    kernel = st._add_k4_batch
-    st._add_k4_batch = lambda us, vs, C: runs.append(len(us)) or kernel(us, vs, C)
+    add = st._add
+    st._add = lambda us, vs, C=None: runs.append(len(us)) or add(us, vs, C)
     # the repeats of the block are no longer open at their turn
     assert st.advance(OneBlockRng(np.resize(idx, BLOCK)), 3) == 3
     assert runs == [1, 2]
