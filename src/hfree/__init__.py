@@ -55,7 +55,6 @@ from .analysis import (
     graph_from_edges,
     independence_exact,
     independence_greedy,
-    max_degree,
     ramsey_summary,
 )
 from .graphio import (

@@ -134,10 +134,6 @@ def independence_greedy(adj, rng, repeats: int = 32) -> AlphaResult:
     return AlphaResult(len(best), False, sorted(best))
 
 
-def max_degree(adj) -> int:
-    return int(np.count_nonzero(adj, axis=1).max()) if len(adj) else 0
-
-
 # per rule: the scales of M, alpha and the largest degree, as functions of
 # n and ln n, and the implied Ramsey ratio n / (the paper's bound at
 # t = alpha + 1): R(3,t) = Theta(t^2/log t), R(4,t) = Omega(t^{5/2}/log^2 t)

@@ -116,9 +116,15 @@ def cmd_verify(args) -> int:
               "and cannot replay them" % (", ".join(older), cfg.process, rng_name),
               file=sys.stderr)
         return 1
+    index = {(n, trial): g for n, trial, g in harness.trial_jobs(cfg)}
     failures = 0
-    for idx, rec in enumerate(records):
-        fresh, _ = harness.run_trial(cfg, rec["n"], rec["trial"], _global_index(cfg, rec))
+    for rec in records:
+        g = index.get((rec.get("n"), rec.get("trial")))
+        if g is None:
+            failures += 1
+            print("FAIL %s is not a trial of its config" % rec["run_id"])
+            continue
+        fresh, _ = harness.run_trial(cfg, rec["n"], rec["trial"], g)
         if fresh == rec:
             print("PASS %s reproduces exactly" % rec["run_id"])
         else:
@@ -127,11 +133,6 @@ def cmd_verify(args) -> int:
             print("FAIL %s differs in %s" % (rec["run_id"], ", ".join(keys)))
     print("%d/%d records reproduced" % (len(records) - failures, len(records)))
     return 1 if failures else 0
-
-
-def _global_index(cfg, rec) -> int:
-    pos = list(cfg.n_list).index(rec["n"])
-    return pos * cfg.trials + rec["trial"]
 
 
 def cmd_bounds(args) -> int:

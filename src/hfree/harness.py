@@ -27,7 +27,7 @@ import time
 import numpy as np
 
 from . import analysis, graphio, k4stats, ledger as ledger_mod, trajectory
-from .process import BLOCK, EDGE, K3, K4, N_MAX, ProcessState
+from .process import BLOCK, EDGE, K3, K4, N_MAX, ProcessState, pair_codes
 
 MASK64 = (1 << 64) - 1
 SEED_STRIDE = 0x9E3779B97F4A7C15  # odd constant for per-trial seed derivation
@@ -122,15 +122,16 @@ class ExperimentConfig:
         return d
 
 
-_LIST_KEYS = {"n_list"}
-_INT_KEYS = {"trials", "base_seed", "witness_pairs", "k4_witness_pairs",
-             "k4_witness_triples", "exact_alpha_cap", "greedy_repeats", "workers"}
-_FLOAT_KEYS = {"mu"}
-_STR_KEYS = {"process", "ledger_mode", "stop", "snapshot_stride"}
+# the config keys and the converter of each: the type of its default, but
+# for the two keys whose text is not that type's
+_CONVERTERS = {f.name: type(f.default) for f in dataclasses.fields(ExperimentConfig)}
+_CONVERTERS.update(n_list=lambda val: tuple(int(s) for s in val.split(",") if s.strip()),
+                   snapshot_stride=lambda val: val if val == "auto" else int(val))
 
 
 def parse_config(text: str, overrides=None) -> ExperimentConfig:
-    """Flat key=value config; '#' starts a comment, lists are comma-separated."""
+    """Flat key=value config, each key at most once; '#' starts a comment,
+    lists are comma-separated; overrides that are not None win."""
     kv = {}
     for raw in text.splitlines():
         line = raw.split("#", 1)[0].strip()
@@ -139,22 +140,17 @@ def parse_config(text: str, overrides=None) -> ExperimentConfig:
         if "=" not in line:
             raise ValueError("bad config line: %r" % raw)
         key, val = (s.strip() for s in line.split("=", 1))
+        if key in kv:
+            raise ValueError("config key %s: given more than once" % key)
         kv[key] = val
     if overrides:
         kv.update({k: str(v) for k, v in overrides.items() if v is not None})
     args = {}
     for key, val in kv.items():
-        if key not in _LIST_KEYS | _INT_KEYS | _FLOAT_KEYS | _STR_KEYS:
+        if key not in _CONVERTERS:
             raise ValueError("unknown config key %r" % key)
         try:
-            if key in _LIST_KEYS:
-                args[key] = tuple(int(s) for s in val.split(",") if s.strip())
-            elif key in _INT_KEYS or (key == "snapshot_stride" and val != "auto"):
-                args[key] = int(val)
-            elif key in _FLOAT_KEYS:
-                args[key] = float(val)
-            else:
-                args[key] = val
+            args[key] = _CONVERTERS[key](val)
         except ValueError:
             raise ValueError("config key %s: bad value %r" % (key, val)) from None
     return ExperimentConfig(**args)
@@ -211,18 +207,16 @@ def resolve_ledger_mode(cfg: ExperimentConfig, n: int) -> str:
 
 # -------------------------------------------------------------------- trials
 
-def _k3_snapshot(state, n, witness_codes):
-    """Snapshot of Q and the X/Y/Z counts of the tracked non-edge pairs:
-    every pair recounted from S (witness_codes None, full mode), or the
-    sorted witness codes (sampled mode).  Pairs are labelled by code u*n+v."""
+def _k3_snapshot(state, n, witness_codes, full):
+    """Snapshot of Q and the X/Y/Z counts of the non-edge pairs among the
+    sorted witness codes u*n+v, which label them: in full mode the codes of
+    every pair, counted from S as a whole."""
     i = state.steps
     t, (q_pred, x_pred, y_pred, _), _ = trajectory.k3_centers(n, i)
-    if witness_codes is None:
-        # codes of the non-edge pairs u < v, in row-major order
-        labels = np.flatnonzero(np.triu(state.status_matrix() != EDGE, 1))
+    labels = witness_codes[state.status_matrix().ravel()[witness_codes] != EDGE]
+    if full:
         xs, ys, zs = (m.ravel()[labels] for m in ledger_mod.oracle_counts_matrix(state))
     else:
-        labels = witness_codes[state.status_matrix().ravel()[witness_codes] != EDGE]
         xs, ys, zs = ledger_mod.sampled_counts(state, labels)
     report = trajectory.k3_bad_event(n, i, state.open_count, labels, xs, ys, zs)
     return {
@@ -271,13 +265,11 @@ def _k4_snapshot(state, n, pairs, triples):
     }
 
 
-def _pair_codes(n, ids):
-    """Codes u*n+v of the pairs u < v numbered 0, 1, 2, ... in row-major
-    order; sorted ids give sorted codes."""
-    rows = np.arange(n)
-    starts = rows * (2 * n - rows - 1) // 2  # the id of the pair (u, u+1)
-    us = np.searchsorted(starts, ids, side="right") - 1
-    return us * n + ids - starts[us] + us + 1
+def trial_jobs(cfg: ExperimentConfig):
+    """(n, trial, g) of each trial of cfg in run order, n_list order then
+    trial; g numbers the trials from 0 and seeds trial_seed(cfg.base_seed, g)."""
+    return [(n, trial, pos * cfg.trials + trial)
+            for pos, n in enumerate(cfg.n_list) for trial in range(cfg.trials)]
 
 
 def _draw_vertex_sets(rng, n, size, count):
@@ -309,10 +301,10 @@ def run_trial(cfg: ExperimentConfig, n: int, trial: int, global_index: int,
                   _draw_vertex_sets(witness_rng, n, 3, cfg.k4_witness_triples))
     elif resolve_ledger_mode(cfg, n) == ledger_mod.SAMPLED:
         k = min(cfg.witness_pairs, state.npairs)
-        family = (_pair_codes(n, np.sort(witness_rng.choice(state.npairs, size=k,
-                                                            replace=False))),)
+        family = (pair_codes(n, np.sort(witness_rng.choice(state.npairs, size=k,
+                                                           replace=False))), False)
     else:
-        family = (None,)  # full mode: every pair
+        family = (pair_codes(n, np.arange(state.npairs)), True)
     take = _k3_snapshot if rule == K3 else _k4_snapshot
 
     def snapshot():
@@ -375,22 +367,11 @@ def _timed_trial(cfg, n, trial, gidx):
     return rec, edge_log, time.perf_counter() - t0, phases
 
 
-def _trial_job(args):
-    cfg_dict, n, trial, gidx = args
-    return _timed_trial(ExperimentConfig(**cfg_dict), n, trial, gidx)
-
-
 def run_experiment(cfg: ExperimentConfig, out_dir=None, edge_logs=False):
     """All trials over cfg.n_list; records persisted incrementally when
     out_dir is given (records.jsonl + timings.txt sidecar).  With edge_logs
     each trial's edges also go to edges/<run_id>.edges and its final graph
     to final_graphs.g6, one line per trial."""
-    jobs = []
-    gidx = 0
-    for n in cfg.n_list:
-        for trial in range(cfg.trials):
-            jobs.append((n, trial, gidx))
-            gidx += 1
     fh = timing_fh = g6_fh = None
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
@@ -421,13 +402,11 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None, edge_logs=False):
 
     try:
         if cfg.workers <= 1:
-            for n, trial, g in jobs:
-                emit(*_timed_trial(cfg, n, trial, g))
+            for job in trial_jobs(cfg):
+                emit(*_timed_trial(cfg, *job))
         else:
-            cfg_dict = cfg.to_dict()
             with concurrent.futures.ProcessPoolExecutor(cfg.workers) as pool:
-                futs = [pool.submit(_trial_job, (cfg_dict, n, trial, g))
-                        for n, trial, g in jobs]
+                futs = [pool.submit(_timed_trial, cfg, *job) for job in trial_jobs(cfg)]
                 for fut in futs:  # completion order (n, trial): submission order
                     emit(*fut.result())
     finally:

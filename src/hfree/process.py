@@ -72,6 +72,15 @@ def _upper_codes(n: int) -> np.ndarray:
     return np.concatenate([u * n + cols[u + 1:] for u in range(n)])
 
 
+def pair_codes(n: int, ids) -> np.ndarray:
+    """Codes of the pairs numbered ids in the order of `_upper_codes`;
+    sorted ids give sorted codes."""
+    rows = np.arange(n)
+    starts = rows * (2 * n - rows - 1) // 2  # the id of the pair (u, u+1)
+    us = np.searchsorted(starts, ids, side="right") - 1
+    return us * n + ids - starts[us] + us + 1
+
+
 def _spans(starts, counts) -> np.ndarray:
     """starts[i], starts[i] + 1, ..., starts[i] + counts[i] - 1 for each i,
     concatenated."""
@@ -120,20 +129,6 @@ class ProcessState:
 
     def has_edge(self, u: int, v: int) -> bool:
         return bool(self.S[u, v] == EDGE)
-
-    # ------------------------------------------------------------------ probe
-
-    def is_closed_probe(self, u: int, v: int) -> bool:
-        """Would adding {u,v} complete a forbidden clique?  Pure function of
-        the adjacency; test oracle for the stored status."""
-        S = self.S
-        if S[u, v] == EDGE:
-            raise ValueError("pair {%d,%d} is an edge" % (u, v))
-        common = np.flatnonzero((S[u] == EDGE) & (S[v] == EDGE))
-        if self.rule == K3:
-            return len(common) > 0
-        # K4: need two adjacent common neighbours
-        return bool((S[np.ix_(common, common)] == EDGE).any())
 
     # ------------------------------------------------------------------ steps
 

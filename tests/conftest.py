@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from hfree.analysis import AlphaResult
-from hfree.process import CLOSED, EDGE, OPEN, ProcessState
+from hfree.process import CLOSED, EDGE, K3, OPEN, ProcessState
 from hfree.trajectory import BadEventReport, Violation, k3_envelope, k3_eval
 
 
@@ -20,6 +20,20 @@ def build_graph(n, rule, edges):
     for u, v in edges:
         force_edge(state, u, v)
     return state
+
+
+def is_closed_probe(state, u, v):
+    """Would adding the non-edge {u,v} to state complete its forbidden
+    clique?  A pure function of the adjacency: the oracle for the stored
+    status."""
+    S = state.status_matrix()
+    if S[u, v] == EDGE:
+        raise ValueError("pair {%d,%d} is an edge" % (u, v))
+    common = np.flatnonzero((S[u] == EDGE) & (S[v] == EDGE))
+    if state.rule == K3:
+        return len(common) > 0
+    # K4: need two adjacent common neighbours
+    return bool((S[np.ix_(common, common)] == EDGE).any())
 
 
 def adjacency_sets(S):

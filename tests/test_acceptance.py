@@ -30,7 +30,7 @@ from hfree.ledger import (
 )
 from hfree.process import CLOSED, EDGE, OPEN, ProcessState
 from hfree.trajectory import k3_ode_residual, k4_ode_residual
-from conftest import adjacency_sets, open_pairs
+from conftest import adjacency_sets, is_closed_probe, open_pairs
 
 
 @pytest.fixture
@@ -114,7 +114,7 @@ def test_criterion_1_and_2_oracle_equivalence(report):
                 opens = open_pairs(st)
                 sample = opens[:: max(1, len(opens) // 5)]
                 for u, v in sample.tolist():
-                    if st.is_closed_probe(u, v):
+                    if is_closed_probe(st, u, v):
                         mismatches += 1
     ok1 = report(1, "oracle equivalence", mismatches == 0,
                   "mismatches=%d" % mismatches)

@@ -9,7 +9,6 @@ from hfree.analysis import (
     graph_from_edges,
     independence_exact,
     independence_greedy,
-    max_degree,
     SUMMARY_COLUMNS,
     ramsey_summary,
 )
@@ -101,12 +100,6 @@ def test_greedy_matches_set_oracle(rule, n, stop):
 def test_greedy_rejects_no_repeats(rng):
     with pytest.raises(ValueError):
         independence_greedy(graph_from_edges(4, [(0, 1)]), rng, repeats=0)
-
-
-def test_max_degree():
-    adj = graph_from_edges(5, [(0, 1), (0, 2), (0, 3)])
-    assert max_degree(adj) == 3
-    assert max_degree(graph_from_edges(3, [])) == 0
 
 
 def test_ramsey_summary(tmp_path):

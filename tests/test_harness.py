@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -5,7 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import has_clique, k3_bad_event_scalar, sampled_counts_loop
-from hfree import analysis, cli, harness, trajectory
+from hfree import analysis, cli, harness, process, trajectory
 from hfree.ledger import FULL, PairLedger
 from hfree.process import EDGE, ProcessState
 from hfree.harness import (
@@ -70,7 +71,7 @@ def test_parse_config_overrides_and_errors():
                       ("n_list = 20, 3x", "n_list"),
                       ("snapshot_stride = often", "snapshot_stride")]:
         with pytest.raises(ValueError, match=key) as err:
-            parse_config("process=K3\nn_list=20\n" + line + "\n")
+            parse_config("process=K3\n" + line + "\n")
         assert repr(line.split("=")[1].strip()) in str(err.value)
     # values that convert but cannot run fail at parse time, naming the key
     for text, key in [("process=K3\nn_list = 12, 1\n", "n_list"),
@@ -114,6 +115,38 @@ def test_parse_config_overrides_and_errors():
     assert parse_config("process=K4\nn_list=4\n").n_list == (4,)
     for stop in ("full", "paper", "t:0", "t:0.25", "steps:0", "steps:40"):
         assert parse_config("process=K3\nn_list=2\nstop=%s\n" % stop).stop == stop
+
+
+def test_config_keys_round_trip():
+    # every field away from its default, written as key = value text, parses
+    # back to an equal config; snapshot_stride as an int and as auto
+    fields = dict(process="K4", n_list=(12, 30), trials=3, base_seed=77,
+                  snapshot_stride=7, ledger_mode="sampled", witness_pairs=11,
+                  stop="t:0.3", mu=0.125, k4_witness_pairs=9, k4_witness_triples=8,
+                  exact_alpha_cap=20, greedy_repeats=5, workers=2)
+    default = ExperimentConfig()
+    assert set(fields) == {f.name for f in dataclasses.fields(ExperimentConfig)}
+    assert all(value != getattr(default, key) for key, value in fields.items())
+    for stride in (7, "auto"):
+        cfg = ExperimentConfig(**dict(fields, snapshot_stride=stride))
+        text = "".join("%s = %s\n" % (key, ", ".join(map(str, value))
+                                       if isinstance(value, list) else value)
+                       for key, value in cfg.to_dict().items())
+        assert parse_config(text) == cfg
+
+
+def test_parse_config_rejects_a_repeated_key(tmp_path, capsys):
+    # the file may give a key once; an override still replaces its value
+    text = "process=K3\nn_list=10\ntrials = 2\ntrials = 5\n"
+    with pytest.raises(ValueError, match="trials"):
+        parse_config(text)
+    assert parse_config("process=K3\nn_list=10\ntrials=2\n", {"trials": 5}).trials == 5
+    (tmp_path / "twice.cfg").write_text(text)
+    assert cli.main(["run", "--config", str(tmp_path / "twice.cfg"),
+                     "--out", str(tmp_path / "out"), "--trials", "3"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and not (tmp_path / "out").exists()
+    assert len(captured.err.splitlines()) == 1 and "trials" in captured.err
 
 
 def test_resolvers():
@@ -238,8 +271,9 @@ def test_sampled_mode_labels_are_codes_of_the_counted_pairs(monkeypatch):
     # reaches the scan is the code u*n+v, u < v, of a non-edge pair whose
     # X/Y/Z are the counts of the two rows it names at that step
     n = 90
-    assert np.array_equal(harness._pair_codes(n, np.arange(n * (n - 1) // 2)),
-                          np.flatnonzero(np.triu(np.ones((n, n), dtype=bool), 1)))
+    codes = process.pair_codes(n, np.arange(n * (n - 1) // 2))
+    assert np.array_equal(codes, process._upper_codes(n))
+    assert np.array_equal(codes, np.flatnonzero(np.triu(np.ones((n, n), dtype=bool), 1)))
     seen = []
     scan = trajectory.k3_bad_event
 
@@ -426,6 +460,48 @@ def test_verify_rejects_config_it_cannot_build(tmp_path, capsys):
         captured = capsys.readouterr()
         assert captured.out == ""
         assert len(captured.err.splitlines()) == 1 and name in captured.err
+
+
+@pytest.mark.parametrize("rule", ["K3", "K4"])
+def test_verify_round_trip_over_several_n(tmp_path, capsys, rule):
+    # each record carries the seed of its global index in trial_jobs, and
+    # verify replays every record with that seed
+    cfg_path = tmp_path / "exp.cfg"
+    cfg_path.write_text("process=%s\nn_list=12, 20\ntrials=2\nbase_seed=9\n" % rule)
+    assert cli.main(["run", "--config", str(cfg_path), "--out", str(tmp_path)]) == 0
+    config, recs = load_records(tmp_path)
+    cfg = ExperimentConfig(**config)
+    index = {(n, trial): g for n, trial, g in harness.trial_jobs(cfg)}
+    assert [(r["n"], r["trial"]) for r in recs] == list(index)
+    assert sorted(index.values()) == [0, 1, 2, 3]
+    for rec in recs:
+        assert rec["seed"] == trial_seed(cfg.base_seed, index[rec["n"], rec["trial"]])
+    capsys.readouterr()
+    assert cli.main(["verify", "--records", str(tmp_path)]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "4/4 records reproduced"
+
+
+def test_verify_fails_records_that_are_not_trials_of_their_config(tmp_path, capsys):
+    # a record whose n is not in n_list, whose trial is not below trials, or
+    # that lacks a trial has no seed in its config: one FAIL line each, not
+    # a traceback, and not a replay with the seed of another trial (n10-t1
+    # would take the global index of n12-t0)
+    run_experiment(ExperimentConfig(process="K3", n_list=(10, 12), base_seed=3), tmp_path)
+    lines = (tmp_path / "records.jsonl").read_text().splitlines()
+    first = json.loads(lines[1])
+    untried = {k: v for k, v in first.items() if k != "trial"}
+    strays = [dict(first, n=11, run_id="n11-t0"), dict(first, trial=1, run_id="n10-t1"),
+              dict(untried, run_id="n10-t")]
+    path = tmp_path / "strays.jsonl"
+    path.write_text("\n".join(lines + [json.dumps(r) for r in strays]) + "\n")
+    assert cli.main(["verify", "--records", str(path)]) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "PASS n10-t0 reproduces exactly",
+        "PASS n12-t0 reproduces exactly",
+        "FAIL n11-t0 is not a trial of its config",
+        "FAIL n10-t1 is not a trial of its config",
+        "FAIL n10-t is not a trial of its config",
+        "2/5 records reproduced"]
 
 
 def test_run_rejects_bad_config_in_one_line(tmp_path, capsys):

@@ -1,9 +1,11 @@
+import collections
+import functools
 import itertools
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from hfree.analysis import max_degree
 from hfree.process import (
     BLOCK,
     CLOSED,
@@ -16,7 +18,14 @@ from hfree.process import (
     ProcessState,
     ProcessTerminated,
 )
-from conftest import adjacency_sets, build_graph, force_edge, has_clique, open_pairs
+from conftest import (
+    adjacency_sets,
+    build_graph,
+    force_edge,
+    has_clique,
+    is_closed_probe,
+    open_pairs,
+)
 
 
 def test_bad_arguments():
@@ -35,7 +44,7 @@ def test_initial_state():
     assert st.steps == 0
     S = st.status_matrix()
     assert np.all(S[np.triu_indices(6, 1)] == OPEN)
-    assert max_degree(S == EDGE) == 0
+    assert not (S == EDGE).any()
 
 
 def _status_oracle(st):
@@ -45,7 +54,7 @@ def _status_oracle(st):
     for u, v in itertools.combinations(range(st.n), 2):
         if v in adj[u]:
             out[u, v] = out[v, u] = EDGE
-        elif st.is_closed_probe(u, v):
+        elif is_closed_probe(st, u, v):
             out[u, v] = out[v, u] = CLOSED
         else:
             out[u, v] = out[v, u] = OPEN
@@ -78,7 +87,7 @@ def test_invariants_through_run(rule, n, rng):
     assert not has_clique(adj, range(n), rule)
     for u, v in itertools.combinations(range(n), 2):
         if v not in adj[u]:
-            assert st.is_closed_probe(u, v)
+            assert is_closed_probe(st, u, v)
 
 
 def test_edge_log_matches_steps(rng):
@@ -108,14 +117,14 @@ def test_step_after_termination_raises(rng):
 def test_probe_examples():
     # path a-b-c
     st = build_graph(4, 3, [(0, 1), (1, 2)])
-    assert st.is_closed_probe(0, 2)
+    assert is_closed_probe(st, 0, 2)
     st4 = build_graph(4, 4, [(0, 1), (1, 2)])
-    assert not st4.is_closed_probe(0, 2)
+    assert not is_closed_probe(st4, 0, 2)
     # K4 minus one edge
     st4 = build_graph(5, 4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3)])
-    assert st4.is_closed_probe(2, 3)
+    assert is_closed_probe(st4, 2, 3)
     with pytest.raises(ValueError):
-        st4.is_closed_probe(0, 1)
+        is_closed_probe(st4, 0, 1)
 
 
 def test_k3_closure_is_cherry_completion():
@@ -374,3 +383,46 @@ def test_k3_n4_law_through_advance():
     hits = sum(ProcessState(4, K3).advance(rng) == 3 for _ in range(trials))
     p = 4 / 15
     assert abs(hits / trials - p) <= 3 * (p * (1 - p) / trials) ** 0.5
+
+
+def _m_law(n, rule):
+    """Exact law of M, the final edge count, on n vertices: a DP over the
+    labelled graphs the process can reach, each open pair equally likely
+    at each step."""
+    pairs = list(itertools.combinations(range(n), 2))
+
+    @functools.lru_cache(maxsize=None)
+    def law(edges):
+        adj = [set() for _ in range(n)]
+        for u, v in edges:
+            adj[u].add(v)
+            adj[v].add(u)
+        opens = [(u, v) for u, v in pairs if v not in adj[u]
+                 and not has_clique(adj, adj[u] & adj[v], rule - 2)]
+        if not opens:
+            return {len(edges): Fraction(1)}
+        out = {}
+        for e in opens:
+            for m, p in law(edges | {e}).items():
+                out[m] = out.get(m, 0) + p / len(opens)
+        return out
+
+    return law(frozenset())
+
+
+@pytest.mark.parametrize("rule,want,crit", [
+    (K3, {4: Fraction(1, 21), 5: Fraction(124, 945), 6: Fraction(776, 945)}, 13.816),
+    (K4, {7: Fraction(1, 9), 8: Fraction(8, 9)}, 10.828)])
+def test_m_law_n5_through_advance(rule, want, crit):
+    """The law of M at n=5, exact from _m_law, against 4000 seeded runs of
+    advance.  A chi-square test at level 0.001 (crit: its critical value at
+    len(want) - 1 degrees of freedom) has power at least 0.97 against a
+    shift of 0.03 of probability from one value of M to another."""
+    law = _m_law(5, rule)
+    assert law == want
+    rng = np.random.default_rng(55)
+    runs = 4000
+    seen = collections.Counter(ProcessState(5, rule).advance(rng) for _ in range(runs))
+    assert set(seen) <= set(law)
+    chi2 = sum((seen[m] - runs * p) ** 2 / (runs * p) for m, p in law.items())
+    assert float(chi2) < crit
