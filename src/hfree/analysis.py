@@ -3,8 +3,8 @@
 A graph is its n x n bool adjacency matrix E; for a process state that is
 `state.status_matrix() == EDGE`, and `graph_from_edges` builds one from an
 edge list.  The exact solver is a bitmask branch-and-bound capped at small
-n; the greedy solver is a randomized min-degree-first bound usable at any
-scale.
+n, bounded by |avail| - nu with nu from a greedy matching found in the pick
+scan; the greedy solver is a randomized min-degree-first bound at any scale.
 """
 
 from __future__ import annotations
@@ -42,50 +42,40 @@ def _check_independent(adj, witness):
 
 
 def independence_exact(adj, cap: int = EXACT_CAP) -> AlphaResult:
-    """Exact independence number by branch and bound on bitmasks, with a
-    greedy seed and a population-count bound."""
+    """Exact independence number by branch and bound on bitmasks.  A node
+    is cut when its size plus |avail| - nu cannot beat the best, nu a greedy
+    matching in avail, since an independent set holds at most one end of
+    each matched pair."""
     n = len(adj)
     if n > cap:
         raise ValueError("n=%d exceeds exact cap %d; use independence_greedy" % (n, cap))
     masks = [sum(1 << w for w in np.flatnonzero(row).tolist()) for row in adj]
-    # greedy seed: repeatedly take a min-degree vertex
-    avail = (1 << n) - 1
-    seed = 0
-    while avail:
-        best_v, best_d = -1, n + 1
-        m = avail
-        while m:
-            lsb = m & -m
-            v = lsb.bit_length() - 1
-            d = (masks[v] & avail).bit_count()
-            if d < best_d:
-                best_v, best_d = v, d
-            m ^= lsb
-        seed |= 1 << best_v
-        avail &= ~(masks[best_v] | (1 << best_v))
-    best_size = seed.bit_count()
-    best_mask = seed
+    best_size, best_mask = 0, 0
 
     def expand(avail, cur_mask, cur_size):
         nonlocal best_size, best_mask
-        if avail == 0:
-            if cur_size > best_size:
-                best_size, best_mask = cur_size, cur_mask
-            return
-        if cur_size + avail.bit_count() <= best_size:
-            return
-        # branch on a max-degree vertex; isolated vertices are always taken
-        m = avail
-        pick, pick_deg = -1, -1
+        # one scan in ascending order: a max-degree branch vertex, and each
+        # unmatched vertex matched to its lowest unmatched neighbour
+        m = unmatched = avail
+        pick, pick_deg, nu = -1, 0, 0
         while m:
             lsb = m & -m
             v = lsb.bit_length() - 1
-            d = (masks[v] & avail).bit_count()
+            nbrs = masks[v] & avail
+            d = nbrs.bit_count()
             if d > pick_deg:
                 pick, pick_deg = v, d
+            w = nbrs & unmatched
+            if w and unmatched & lsb:
+                unmatched ^= lsb | (w & -w)
+                nu += 1
             m ^= lsb
-        if pick_deg == 0:
-            expand(0, cur_mask | avail, cur_size + avail.bit_count())
+        size = cur_size + avail.bit_count()
+        if pick_deg == 0:  # no edge left: take all of avail
+            if size > best_size:
+                best_size, best_mask = size, cur_mask | avail
+            return
+        if size - nu <= best_size:
             return
         bit = 1 << pick
         expand(avail & ~(masks[pick] | bit), cur_mask | bit, cur_size + 1)

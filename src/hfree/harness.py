@@ -418,15 +418,17 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None, edge_logs=False):
 
 def load_records(path):
     """Read a records.jsonl file (or directory containing one).  Returns
-    (config_dict, records)."""
+    (config_dict, records); a line that is neither is a ValueError."""
     if os.path.isdir(path):
         path = os.path.join(path, "records.jsonl")
     config = None
     records = []
     with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
+        for k, line in enumerate(fh, 1):
             obj = json.loads(line)
-            if "config" in obj and "run_id" not in obj:
+            if not isinstance(obj, dict) or ("config" in obj) == ("run_id" in obj):
+                raise ValueError("line %d is neither the config nor a record" % k)
+            if "config" in obj:
                 config = obj["config"]
             else:
                 records.append(obj)

@@ -113,8 +113,7 @@ def k4_ode_residual(t: float):
 
 
 # The paper leaves p(t) unspecified beyond degree 5 with positive
-# coefficients; this default mirrors the magnitude of the K3 exponents and is
-# configurable everywhere it is used.
+# coefficients; this default mirrors the magnitude of the K3 exponents.
 DEFAULT_P_COEFFS = (1.0, 40.0, 41.0, 41.0, 41.0, 41.0)
 
 
@@ -125,12 +124,10 @@ def _poly(coeffs, t):
     return acc
 
 
-def k4_envelope_f(t: float, p_coeffs=DEFAULT_P_COEFFS):
+def k4_envelope_f(t: float):
     """Raw K4 error functions (f_q, [f_0..f_4], [h_0..h_2]); the f_q piece
     divides by t^4 past t = 1, with the t <= 1 branch at the seam."""
-    if len(p_coeffs) != 6 or any(c < 0 for c in p_coeffs):
-        raise ValueError("p(t) needs six nonnegative coefficients")
-    p = _poly(p_coeffs, t)
+    p = _poly(DEFAULT_P_COEFFS, t)
     t5 = t ** 5
     f_q = math.exp(p) if t <= 1.0 else math.exp(p) / t ** 4
     ff = [math.exp(p - 16.0 * (4 - f) * t5) for f in range(5)]
@@ -138,7 +135,7 @@ def k4_envelope_f(t: float, p_coeffs=DEFAULT_P_COEFFS):
     return f_q, ff, hf
 
 
-def k4_envelope(t: float, n: int, p_coeffs=DEFAULT_P_COEFFS):
+def k4_envelope(t: float, n: int):
     """Absolute allowed deviations for the K4 tracked variables:
     (band_q, [band_{x_f}], [band_{y_f}]) with band_q = f_q n^{29/15},
     band_{x_f} = f_f n^{2 - 2f/5 - 1/15}, band_{y_f} = h_f n^{1 - 2f/5 - 1/15}."""
@@ -146,7 +143,7 @@ def k4_envelope(t: float, n: int, p_coeffs=DEFAULT_P_COEFFS):
         raise ValueError("t must be nonnegative")
     if n < 2:
         raise ValueError("n must be at least 2")
-    f_q, ff, hf = k4_envelope_f(t, p_coeffs)
+    f_q, ff, hf = k4_envelope_f(t)
     band_q = f_q * n ** (29.0 / 15.0)
     bands_x = [ff[f] * n ** (2.0 - 2.0 * f / 5.0 - 1.0 / 15.0) for f in range(5)]
     bands_y = [hf[f] * n ** (1.0 - 2.0 * f / 5.0 - 1.0 / 15.0) for f in range(3)]
@@ -223,13 +220,13 @@ def k3_bad_event(n: int, i: int, q_count: int, labels=(), xs=(), ys=(),
     return rep
 
 
-def k4_bad_event(n: int, i: int, q_count: int, pair_counts=(), triple_counts=(),
-                 p_coeffs=DEFAULT_P_COEFFS) -> BadEventReport:
+def k4_bad_event(n: int, i: int, q_count: int, pair_counts=(),
+                 triple_counts=()) -> BadEventReport:
     """K4 analogue.  pair_counts yields (label, [5 counts]); triple_counts
     yields (label, [4 counts]).  The Y bands are one-sided and |Y_{A,3}| > 15
     is flagged outright."""
     t, q_center, x_centers, y_centers = k4_centers(n, i)
-    band_q, bands_x, bands_y = k4_envelope(t, n, p_coeffs)
+    band_q, bands_x, bands_y = k4_envelope(t, n)
     rep = BadEventReport(step=i)
     if abs(q_count - q_center) >= band_q:
         rep.violations.append(Violation("Q", q_count, q_center, band_q))

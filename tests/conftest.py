@@ -73,6 +73,31 @@ def k3_bad_event_scalar(n, i, q_count, pair_counts=()):
     return rep
 
 
+def alpha_reference(adj):
+    """Reference for analysis.independence_exact: a plain bitmask branch and
+    bound with no seed and only the popcount bound, branching on a
+    max-degree vertex of avail (take it, then drop it)."""
+    n = len(adj)
+    masks = [sum(1 << w for w in np.flatnonzero(row).tolist()) for row in adj]
+    best = 0
+
+    def expand(avail, size):
+        nonlocal best
+        if size + avail.bit_count() <= best:
+            return
+        deg = {v: (masks[v] & avail).bit_count() for v in range(n) if avail >> v & 1}
+        v = max(deg, key=deg.get, default=None)
+        if v is None or deg[v] == 0:  # no edge left: take all of avail
+            best = size + len(deg)
+            return
+        bit = 1 << v
+        expand(avail & ~(masks[v] | bit), size + 1)
+        expand(avail & ~bit, size)
+
+    expand((1 << n) - 1, 0)
+    return best
+
+
 def independence_greedy_sets(n, adj, rng, repeats=32):
     """Reference for analysis.independence_greedy over adjacency sets: the
     min-degree candidates come from iterating a set of ints below n, which

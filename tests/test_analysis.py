@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import adjacency_sets, independence_greedy_sets
+from conftest import adjacency_sets, alpha_reference, independence_greedy_sets
 from hfree.analysis import (
     graph_from_edges,
     independence_exact,
@@ -46,7 +46,8 @@ def test_c5_exact():
 
 
 def test_empty_and_complete():
-    assert independence_exact(graph_from_edges(7, [])).value == 7
+    for n in (0, 1, 7):
+        assert independence_exact(graph_from_edges(n, [])).value == n
     kn = graph_from_edges(6, list(itertools.combinations(range(6), 2)))
     assert independence_exact(kn).value == 1
 
@@ -65,6 +66,31 @@ def test_exact_matches_brute_on_random(seed):
              if rng.random() < 0.3]
     adj = graph_from_edges(n, edges)
     assert independence_exact(adj).value == _brute_alpha(n, adj)
+
+
+def _assert_exact_matches_reference(adj):
+    res = independence_exact(adj)
+    w = np.asarray(res.witness, dtype=np.intp)
+    assert not adj[np.ix_(w, w)].any()
+    assert len(res.witness) == res.value == alpha_reference(adj)
+
+
+@pytest.mark.parametrize("rule", [K3, K4])
+@pytest.mark.parametrize("n", [30, 45, 60])
+def test_exact_matches_reference_on_final_graphs(rule, n):
+    # the matching cut against a solver with the popcount bound alone
+    for seed in (1, 2, 3):
+        state = ProcessState(n, rule)
+        state.advance(np.random.default_rng(seed))
+        _assert_exact_matches_reference(state.status_matrix() == EDGE)
+
+
+@pytest.mark.parametrize("n", [30, 45])
+@pytest.mark.parametrize("p", [0.05, 0.2, 0.5])
+def test_exact_matches_reference_on_gnp(n, p):
+    rng = np.random.default_rng(1000 * n + round(100 * p))
+    upper = np.triu(rng.random((n, n)) < p, 1)
+    _assert_exact_matches_reference(upper | upper.T)
 
 
 def test_greedy_lower_bounds_exact(rng):

@@ -523,6 +523,28 @@ def test_run_rejects_bad_config_in_one_line(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+def test_stray_record_lines_are_one_line_errors(tmp_path, capsys):
+    # a line that is neither the config nor a record (no run_id, not a dict,
+    # or both keys) fails verify and plot-data with one line naming it,
+    # not a KeyError traceback
+    run_experiment(ExperimentConfig(process="K3", n_list=(10,), base_seed=3), tmp_path)
+    lines = (tmp_path / "records.jsonl").read_text().splitlines()
+    config = json.loads(lines[0])
+    for stray in ({"n": 12, "trial": 0}, {}, [1], dict(config, run_id="n10-t0")):
+        path = tmp_path / "stray.jsonl"
+        path.write_text("\n".join(lines + [json.dumps(stray)]) + "\n")
+        with pytest.raises(ValueError, match="line 3 is neither the config nor a record"):
+            load_records(path)
+        for argv in (["verify", "--records", str(path)],
+                     ["plot-data", "--records", str(path), "--out", str(tmp_path / "plots")]):
+            assert cli.main(argv) == 1
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.splitlines() == [
+                "cannot read records %s: line 3 is neither the config nor a record" % path]
+    assert not (tmp_path / "plots").exists()
+
+
 def test_verify_rejects_records_of_an_older_generator(tmp_path, capsys):
     # records drawn with another generator cannot be replayed: one line
     # naming both generators, not one FAIL per record; the old name is what

@@ -119,10 +119,6 @@ def test_k4_envelope_shapes():
     assert band_q == pytest.approx(f_q * 400 ** (29 / 15), rel=1e-12)
     assert bx[0] == pytest.approx(ff[0] * 400 ** (2 - 1 / 15), rel=1e-12)
     assert by[2] == pytest.approx(hf[2] * 400 ** (1 - 4 / 5 - 1 / 15), rel=1e-12)
-    with pytest.raises(ValueError):
-        k4_envelope_f(0.5, (1, 2, 3))
-    with pytest.raises(ValueError):
-        k4_envelope_f(0.5, (1, -1, 1, 1, 1, 1))
 
 
 def test_k4_envelope_piecewise():
