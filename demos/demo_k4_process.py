@@ -31,11 +31,9 @@ def main():
     pairs = [rng.choice(n, size=2, replace=False) for _ in range(40)]
     triples = [rng.choice(n, size=3, replace=False) for _ in range(40)]
     # means over the pairs still open and the triples that span no triangle,
-    # as in the records
-    x, frozen = k4_witness_counts(st.status_matrix(), pairs)
-    x_obs = x[~frozen].mean(axis=0)
-    y, frozen = k4_triple_counts(st.status_matrix(), triples)
-    y_obs = y[~frozen].mean(axis=0)
+    # the members each family call counts, as in the records
+    x_obs = k4_witness_counts(st.status_matrix(), pairs)[1].mean(axis=0)
+    y_obs = k4_triple_counts(st.status_matrix(), triples)[1].mean(axis=0)
     print(" f   mean |X_{A,f}|   x_f(t) n^{2-2f/5}")
     for f in range(5):
         print("%2d  %13.1f   %15.1f" % (f, x_obs[f], xs[f]))

@@ -26,7 +26,6 @@ from .ledger import (
     sampled_counts,
 )
 from .trajectory import (
-    BadEventReport,
     DEFAULT_P_COEFFS,
     Violation,
     k3_bad_event,

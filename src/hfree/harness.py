@@ -218,7 +218,7 @@ def _k3_snapshot(state, n, witness_codes, full):
         xs, ys, zs = (m.ravel()[labels] for m in ledger_mod.oracle_counts_matrix(state))
     else:
         xs, ys, zs = ledger_mod.sampled_counts(state, labels)
-    report = trajectory.k3_bad_event(n, i, state.open_count, labels, xs, ys, zs)
+    violations = trajectory.k3_bad_event(n, i, state.open_count, labels, xs, ys, zs)
     return {
         "i": i,
         "t": t,
@@ -231,24 +231,19 @@ def _k3_snapshot(state, n, witness_codes, full):
         "q_pred": q_pred,
         "x_pred": x_pred,
         "y_pred": y_pred,
-        "violations": len(report.violations),
+        "violations": len(violations),
     }
 
 
 def _k4_snapshot(state, n, pairs, triples):
-    """Snapshot of Q and the mean witness counts of the pairs (k x 2) and
-    triples (k x 3) that are not frozen."""
+    """Snapshot of Q and the mean witness counts of the pairs (k x 2) still
+    open and the triples (k x 3) that span no triangle."""
     i = state.steps
     t, q_pred, x_pred, y_pred = trajectory.k4_centers(n, i)
     sm = state.status_matrix()
-    x, frozen = k4stats.k4_witness_counts(sm, pairs)
-    pairs, x = pairs[~frozen], x[~frozen]
-    y, frozen = k4stats.k4_triple_counts(sm, triples)
-    triples, y = triples[~frozen], y[~frozen]
-    report = trajectory.k4_bad_event(
-        n, i, state.open_count,
-        [("%d-%d" % tuple(A), c) for A, c in zip(pairs.tolist(), x.tolist())],
-        [("%d-%d-%d" % tuple(A), c) for A, c in zip(triples.tolist(), y.tolist())])
+    pairs, x = k4stats.k4_witness_counts(sm, pairs)
+    triples, y = k4stats.k4_triple_counts(sm, triples)
+    violations = trajectory.k4_bad_event(n, i, state.open_count, pairs, x, triples, y)
     return {
         "i": i,
         "t": t,
@@ -261,7 +256,7 @@ def _k4_snapshot(state, n, pairs, triples):
         "y3_max": int(y[:, 3].max()) if len(y) else 0,
         "witness_pairs": len(x),
         "witness_triples": len(y),
-        "violations": len(report.violations),
+        "violations": len(violations),
     }
 
 
@@ -425,7 +420,10 @@ def load_records(path):
     records = []
     with open(path, "r", encoding="utf-8") as fh:
         for k, line in enumerate(fh, 1):
-            obj = json.loads(line)
+            try:
+                obj = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise ValueError("line %d: %s" % (k, exc.msg)) from None
             if not isinstance(obj, dict) or ("config" in obj) == ("run_id" in obj):
                 raise ValueError("line %d is neither the config nor a record" % k)
             if "config" in obj:

@@ -9,7 +9,7 @@ records and the deviation scans both read them.  All logarithms are natural.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -183,63 +183,43 @@ class Violation:
     allowed: float
 
 
-@dataclass
-class BadEventReport:
-    step: int
-    violations: list = field(default_factory=list)
-
-    def __bool__(self):
-        return bool(self.violations)
-
-
-def k3_pair_flags(n: int, i: int, xs, ys, zs) -> np.ndarray:
-    """(k, 3) boolean mask of the pair-count deviations k3_bad_event reports:
-    columns X, Y, Z, flagged by abs(float(c) - center) >= band, elementwise
-    in float64; for a count z >= 0 the Z test is z >= (ln n)^2."""
-    _, centers, bands = k3_centers(n, i)
-    c = np.stack([np.asarray(v, dtype=np.float64) for v in (xs, ys, zs)], axis=1)
-    return np.abs(c - centers[1:]) >= bands[1:]
-
-
-def k3_bad_event(n: int, i: int, q_count: int, labels=(), xs=(), ys=(),
-                 zs=()) -> BadEventReport:
-    """Check a snapshot against the deviation bands: |Q - q n^2| >= g_q n^2,
-    |X| outside x n +- g_x n, |Y| outside y sqrt(n) +- g_y sqrt(n),
-    |Z| >= (ln n)^2.  labels, xs, ys and zs hold one entry per tracked pair;
+def k3_bad_event(n: int, i: int, q_count: int, labels=(), xs=(), ys=(), zs=()):
+    """The Violations of a snapshot against the deviation bands:
+    |Q - q n^2| >= g_q n^2, |X - x n| >= g_x n, |Y - y sqrt(n)| >= g_y sqrt(n)
+    and Z >= (ln n)^2, each pair count tested as abs(float(c) - center) >=
+    band in float64.  labels, xs, ys and zs hold one entry per tracked pair;
     violations come in that order, X, Y, Z within a pair."""
     _, centers, bands = k3_centers(n, i)
-    rep = BadEventReport(step=i)
+    found = []
     if abs(q_count - centers[0]) >= bands[0]:
-        rep.violations.append(Violation("Q", q_count, centers[0], bands[0]))
+        found.append(Violation("Q", q_count, centers[0], bands[0]))
     counts = (xs, ys, zs)
-    for p, k in zip(*(a.tolist() for a in np.nonzero(k3_pair_flags(n, i, *counts)))):
+    c = np.stack([np.asarray(v, dtype=np.float64) for v in counts], axis=1)
+    for p, k in np.argwhere(np.abs(c - centers[1:]) >= bands[1:]).tolist():
         # .item() makes a numpy count a Python number
-        rep.violations.append(Violation("%s %s" % ("XYZ"[k], labels[p]),
-                                        np.asarray(counts[k][p]).item(),
-                                        centers[k + 1], bands[k + 1]))
-    return rep
+        found.append(Violation("%s %s" % ("XYZ"[k], labels[p]),
+                               np.asarray(counts[k][p]).item(),
+                               centers[k + 1], bands[k + 1]))
+    return found
 
 
-def k4_bad_event(n: int, i: int, q_count: int, pair_counts=(),
-                 triple_counts=()) -> BadEventReport:
-    """K4 analogue.  pair_counts yields (label, [5 counts]); triple_counts
-    yields (label, [4 counts]).  The Y bands are one-sided and |Y_{A,3}| > 15
-    is flagged outright."""
+def k4_bad_event(n: int, i: int, q_count: int, pairs=(), x=(), triples=(), y=()):
+    """K4 analogue: the Violations of Q, of the rows of x (k x 5) for the
+    pairs (k x 2) and of the rows of y (k x 4) for the triples (k x 3), named
+    "Xf a-b" and "Yf a-b-c".  The Y bands are one-sided, and Y3, with center
+    0 and band 15, is flagged above 15."""
     t, q_center, x_centers, y_centers = k4_centers(n, i)
     band_q, bands_x, bands_y = k4_envelope(t, n)
-    rep = BadEventReport(step=i)
+    found = []
     if abs(q_count - q_center) >= band_q:
-        rep.violations.append(Violation("Q", q_count, q_center, band_q))
-    for label, counts in pair_counts:
-        for f in range(5):
-            if abs(counts[f] - x_centers[f]) >= bands_x[f]:
-                rep.violations.append(
-                    Violation("X%d %s" % (f, label), counts[f], x_centers[f], bands_x[f]))
-    for label, counts in triple_counts:
-        for f in range(3):
-            if counts[f] > y_centers[f] + bands_y[f]:
-                rep.violations.append(
-                    Violation("Y%d %s" % (f, label), counts[f], y_centers[f], bands_y[f]))
-        if counts[3] > 15:
-            rep.violations.append(Violation("Y3 %s" % (label,), counts[3], 0.0, 15.0))
-    return rep
+        found.append(Violation("Q", q_count, q_center, band_q))
+    x, y = np.asarray(x).reshape(-1, 5), np.asarray(y).reshape(-1, 4)
+    y_centers, bands_y = y_centers + [0.0], bands_y + [15.0]
+    for name, members, counts, flags, centers, bands in (
+            ("X", pairs, x, np.abs(x - x_centers) >= bands_x, x_centers, bands_x),
+            ("Y", triples, y, y > np.add(y_centers, bands_y), y_centers, bands_y)):
+        for p, f in np.argwhere(flags).tolist():
+            label = "-".join(map(str, np.asarray(members[p]).tolist()))
+            found.append(Violation("%s%d %s" % (name, f, label), counts.item(p, f),
+                                   centers[f], bands[f]))
+    return found

@@ -6,19 +6,15 @@ import pytest
 
 from hfree.analysis import AlphaResult
 from hfree.process import CLOSED, EDGE, K3, OPEN, ProcessState
-from hfree.trajectory import BadEventReport, Violation, k3_envelope, k3_eval
-
-
-def force_edge(state: ProcessState, u: int, v: int):
-    """Add the pair {u,v} (must be open) as the next step of state."""
-    return state.add_edge(u, v)
+from hfree.trajectory import (Violation, k3_envelope, k3_eval, k4_centers,
+                              k4_envelope)
 
 
 def build_graph(n, rule, edges):
     """ProcessState holding exactly the given edges (added in order)."""
     state = ProcessState(n, rule)
     for u, v in edges:
-        force_edge(state, u, v)
+        state.add_edge(u, v)
     return state
 
 
@@ -58,19 +54,42 @@ def k3_bad_event_scalar(n, i, q_count, pair_counts=()):
     t = i / n ** 1.5
     q, x, y = k3_eval(t)
     g_q, g_x, g_y = k3_envelope(t, n)
-    rep = BadEventReport(step=i)
+    found = []
     if abs(q_count - q * n * n) >= g_q * n * n:
-        rep.violations.append(Violation("Q", q_count, q * n * n, g_q * n * n))
+        found.append(Violation("Q", q_count, q * n * n, g_q * n * n))
     sq = math.sqrt(n)
     zcap = math.log(n) ** 2
     for label, xc, yc, zc in pair_counts:
         if abs(xc - x * n) >= g_x * n:
-            rep.violations.append(Violation("X %s" % (label,), xc, x * n, g_x * n))
+            found.append(Violation("X %s" % (label,), xc, x * n, g_x * n))
         if abs(yc - y * sq) >= g_y * sq:
-            rep.violations.append(Violation("Y %s" % (label,), yc, y * sq, g_y * sq))
+            found.append(Violation("Y %s" % (label,), yc, y * sq, g_y * sq))
         if zc >= zcap:
-            rep.violations.append(Violation("Z %s" % (label,), zc, 0.0, zcap))
-    return rep
+            found.append(Violation("Z %s" % (label,), zc, 0.0, zcap))
+    return found
+
+
+def k4_bad_event_scalar(n, i, q_count, pair_counts=(), triple_counts=()):
+    """Reference for trajectory.k4_bad_event: one Python test per count.
+    pair_counts yields (label, [5 counts]), triple_counts (label, [4 counts])."""
+    t, q_center, x_centers, y_centers = k4_centers(n, i)
+    band_q, bands_x, bands_y = k4_envelope(t, n)
+    found = []
+    if abs(q_count - q_center) >= band_q:
+        found.append(Violation("Q", q_count, q_center, band_q))
+    for label, counts in pair_counts:
+        for f in range(5):
+            if abs(counts[f] - x_centers[f]) >= bands_x[f]:
+                found.append(
+                    Violation("X%d %s" % (f, label), counts[f], x_centers[f], bands_x[f]))
+    for label, counts in triple_counts:
+        for f in range(3):
+            if counts[f] > y_centers[f] + bands_y[f]:
+                found.append(
+                    Violation("Y%d %s" % (f, label), counts[f], y_centers[f], bands_y[f]))
+        if counts[3] > 15:
+            found.append(Violation("Y3 %s" % (label,), counts[3], 0.0, 15.0))
+    return found
 
 
 def alpha_reference(adj):
@@ -142,30 +161,31 @@ def sampled_counts_loop(state, codes):
 
 
 def k4_witness_counts_pair(S, A):
-    """Reference for k4stats.k4_witness_counts: (x, frozen) of one pair A
-    from one n x n pass over S."""
+    """Reference for k4stats.k4_witness_counts: x of one open pair A from
+    one n x n pass over S."""
     a, b = A
+    assert S[a, b] == OPEN
     e = (S == EDGE).view(np.int8)
     # edges from each candidate vertex into A, plus the candidates' own pair
     into_a = e[a] + e[b]
-    f_mat = into_a[:, None] + into_a[None, :] + e + e[a, b]
+    f_mat = into_a[:, None] + into_a[None, :] + e
     # candidate ends: no closed pair into A (the NO_PAIR diagonal drops a, b);
     # B itself must be a real non-closed pair, counted once per orientation
     ok_vert = (S[a] < CLOSED) & (S[b] < CLOSED)
     sel = ok_vert[:, None] & ok_vert[None, :] & (S < CLOSED)
-    counts = np.bincount(f_mat[sel], minlength=7)[:5].astype(np.int64) // 2
-    return counts, S[a, b] != OPEN
+    return np.bincount(f_mat[sel], minlength=5)[:5].astype(np.int64) // 2
 
 
 def k4_triple_counts_one(S, A):
-    """Reference for k4stats.k4_triple_counts: (y, frozen) of one triple A."""
+    """Reference for k4stats.k4_triple_counts: y of one triple A that spans
+    no triangle."""
     a, b, c = A
     e = S == EDGE
+    assert not (e[a, b] and e[a, c] and e[b, c])
     f_vec = e[a].astype(np.int8) + e[b].astype(np.int8) + e[c].astype(np.int8)
     ok = ~((S[a] == CLOSED) | (S[b] == CLOSED) | (S[c] == CLOSED))
     ok[[a, b, c]] = False
-    counts = np.bincount(f_vec[ok], minlength=4)[:4].astype(np.int64)
-    return counts, bool(e[a, b] and e[a, c] and e[b, c])
+    return np.bincount(f_vec[ok], minlength=4)[:4].astype(np.int64)
 
 
 @pytest.fixture

@@ -211,11 +211,11 @@ def test_full_mode_snapshots_match_incremental_ledger():
                 xs, ys, zs = led.x[nonedge], led.y[nonedge], led.z[nonedge]
                 rows = zip(np.flatnonzero(nonedge).tolist(), xs.tolist(),
                            ys.tolist(), zs.tolist())
-                report = k3_bad_event_scalar(n, step, st.open_count, rows)
+                found = k3_bad_event_scalar(n, step, st.open_count, rows)
                 assert (snap["x_max"], snap["y_max"], snap["z_max"],
                         snap["x_mean"], snap["y_mean"], snap["violations"]) == (
                     int(xs.max()), int(ys.max()), int(zs.max()),
-                    float(xs.mean()), float(ys.mean()), len(report.violations))
+                    float(xs.mean()), float(ys.mean()), len(found))
             assert not snaps and len(rec["snapshots"]) > 10
 
 
@@ -260,10 +260,10 @@ def test_snapshot_preds_are_the_bad_event_centers():
                 rep = trajectory.k3_bad_event(n, s["i"], big, ["p"], [big], [big], [0])
                 want = [s["q_pred"], s["x_pred"], s["y_pred"]]
             else:
-                rep = trajectory.k4_bad_event(n, s["i"], big, [("p", [big] * 5)],
-                                              [("t", [big] * 4)])
+                rep = trajectory.k4_bad_event(n, s["i"], big, [(0, 1)], [[big] * 5],
+                                              [(0, 1, 2)], [[big] * 4])
                 want = [s["q_pred"], *s["x_pred"], *s["y_pred"], 0.0]
-            assert [v.center for v in rep.violations] == want
+            assert [v.center for v in rep] == want
 
 
 def test_sampled_mode_labels_are_codes_of_the_counted_pairs(monkeypatch):
@@ -525,23 +525,28 @@ def test_run_rejects_bad_config_in_one_line(tmp_path, capsys):
 
 def test_stray_record_lines_are_one_line_errors(tmp_path, capsys):
     # a line that is neither the config nor a record (no run_id, not a dict,
-    # or both keys) fails verify and plot-data with one line naming it,
-    # not a KeyError traceback
+    # or both keys), or is no JSON at all (blank, or a truncated record),
+    # fails verify and plot-data with one line naming it, not a KeyError
+    # traceback or the decoder's position inside that line
     run_experiment(ExperimentConfig(process="K3", n_list=(10,), base_seed=3), tmp_path)
     lines = (tmp_path / "records.jsonl").read_text().splitlines()
     config = json.loads(lines[0])
-    for stray in ({"n": 12, "trial": 0}, {}, [1], dict(config, run_id="n10-t0")):
+    strays = [(json.dumps(stray), "line 3 is neither the config nor a record")
+              for stray in ({"n": 12, "trial": 0}, {}, [1], dict(config, run_id="n10-t0"))]
+    strays += [("", "line 3: Expecting value"),
+               (lines[1][:-1], "line 3: Expecting ',' delimiter")]
+    for stray, msg in strays:
         path = tmp_path / "stray.jsonl"
-        path.write_text("\n".join(lines + [json.dumps(stray)]) + "\n")
-        with pytest.raises(ValueError, match="line 3 is neither the config nor a record"):
+        path.write_text("\n".join(lines + [stray]) + "\n")
+        with pytest.raises(ValueError) as exc:
             load_records(path)
+        assert str(exc.value) == msg
         for argv in (["verify", "--records", str(path)],
                      ["plot-data", "--records", str(path), "--out", str(tmp_path / "plots")]):
             assert cli.main(argv) == 1
             captured = capsys.readouterr()
             assert captured.out == ""
-            assert captured.err.splitlines() == [
-                "cannot read records %s: line 3 is neither the config nor a record" % path]
+            assert captured.err.splitlines() == ["cannot read records %s: %s" % (path, msg)]
     assert not (tmp_path / "plots").exists()
 
 

@@ -46,29 +46,32 @@ def _brute_triple(state, A):
 
 def test_empty_graph_counts():
     st = ProcessState(10, 4)
-    x, frozen = k4_witness_counts(st.status_matrix(), [(0, 1)])
-    assert x.tolist() == [[8 * 7 // 2, 0, 0, 0, 0]]
-    assert frozen.tolist() == [False]
-    y, frozen = k4_triple_counts(st.status_matrix(), [(0, 1, 2)])
-    assert y.tolist() == [[7, 0, 0, 0]]
-    assert frozen.tolist() == [False]
+    live, x = k4_witness_counts(st.status_matrix(), [(0, 1)])
+    assert live.tolist() == [[0, 1]] and x.tolist() == [[8 * 7 // 2, 0, 0, 0, 0]]
+    live, y = k4_triple_counts(st.status_matrix(), [(0, 1, 2)])
+    assert live.tolist() == [[0, 1, 2]] and y.tolist() == [[7, 0, 0, 0]]
 
 
 def test_single_edge_classification():
     st = build_graph(8, 4, [(2, 3)])
-    x, _ = k4_witness_counts(st.status_matrix(), [(0, 1)])
+    _, x = k4_witness_counts(st.status_matrix(), [(0, 1)])
     # B = {2,3} contributes f=1; every other disjoint B is f=0
     assert x.tolist() == [[6 * 5 // 2 - 1, 1, 0, 0, 0]]
-    y, _ = k4_triple_counts(st.status_matrix(), [(0, 1, 2)])
+    _, y = k4_triple_counts(st.status_matrix(), [(0, 1, 2)])
     # vertex 3 has one edge into the triple
     assert y.tolist() == [[4, 1, 0, 0]]
 
 
-def test_frozen_flags():
-    st = build_graph(8, 4, [(0, 1), (0, 2), (1, 2)])
+def test_live_members():
+    # edge pairs, closed pairs and triangle triples are dropped; the rest
+    # keep their order, repeats included
+    st = build_graph(8, 4, [(0, 1), (0, 2), (1, 2), (0, 3), (1, 3)])
     S = st.status_matrix()
-    assert k4_witness_counts(S, [(0, 1), (0, 3)])[1].tolist() == [True, False]
-    assert k4_triple_counts(S, [(0, 1, 2), (0, 1, 3)])[1].tolist() == [True, False]
+    assert S[2, 3] == CLOSED and S[0, 1] == EDGE
+    live, x = k4_witness_counts(S, [(4, 5), (0, 1), (0, 4), (2, 3), (6, 7), (0, 4)])
+    assert live.tolist() == [[4, 5], [0, 4], [6, 7], [0, 4]] and x.shape == (4, 5)
+    live, y = k4_triple_counts(S, [(0, 1, 4), (0, 1, 2), (0, 2, 4), (0, 1, 3), (0, 1, 4)])
+    assert live.tolist() == [[0, 1, 4], [0, 2, 4], [0, 1, 4]] and y.shape == (3, 4)
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -80,10 +83,10 @@ def test_counts_match_brute_force(seed):
     triples = [(0, 1, 2), (4, 8, 12)]
     while st.open_count:
         if st.steps in checkpoints:
-            x, _ = k4_witness_counts(st.status_matrix(), pairs)
-            assert x.tolist() == [_brute_witness(st, A) for A in pairs]
-            y, _ = k4_triple_counts(st.status_matrix(), triples)
-            assert y.tolist() == [_brute_triple(st, A) for A in triples]
+            live, x = k4_witness_counts(st.status_matrix(), pairs)
+            assert x.tolist() == [_brute_witness(st, A) for A in live.tolist()]
+            live, y = k4_triple_counts(st.status_matrix(), triples)
+            assert y.tolist() == [_brute_triple(st, A) for A in live.tolist()]
         st.step(rng)
 
 
@@ -95,18 +98,15 @@ def test_small_n_rejected():
 
 def test_total_count_conservation(rng):
     # for open A every disjoint B lands in exactly one bucket or is excluded
-    # as closed; A's counts are frozen iff A is no longer open
+    # as closed; exactly the open pairs are counted
     st = ProcessState(12, 4)
     st.advance(rng, 30)
     pairs = list(itertools.combinations(range(12), 2))
-    xs, frozen = k4_witness_counts(st.status_matrix(), pairs)
-    statuses = set()
-    for A, x, fr in zip(pairs, xs, frozen):
-        status = st.status_of(*A)
-        statuses.add(status)
-        assert fr == (status != OPEN)
-        if fr:
-            continue
+    live, xs = k4_witness_counts(st.status_matrix(), pairs)
+    statuses = {st.status_of(*A) for A in pairs}
+    assert CLOSED in statuses and OPEN in statuses
+    assert live.tolist() == [list(A) for A in pairs if st.status_of(*A) == OPEN]
+    for A, x in zip(live.tolist(), xs):
         rest = [w for w in range(12) if w not in A]
         excluded = 0
         for c, d in itertools.combinations(rest, 2):
@@ -115,62 +115,66 @@ def test_total_count_conservation(rng):
                    for u, v in itertools.combinations(quad, 2)):
                 excluded += 1
         assert int(x.sum()) + excluded == 10 * 9 // 2
-    assert CLOSED in statuses and OPEN in statuses
 
 
 def test_family_equals_one_row_calls():
-    # a family call gives each row what a call with that row alone gives:
-    # repeated members, a pair that is an edge (its counts shift by one f),
-    # a closed pair, and the empty family
+    # a family call gives each live row what a call with that row alone
+    # gives: repeated members, a pair that is an edge and a closed pair
+    # (both dropped), a triangle triple (dropped), and the empty family
     st = build_graph(12, 4, [(0, 1), (0, 2), (1, 2), (0, 3), (1, 3), (4, 5), (6, 7)])
     S = st.status_matrix()
     assert S[2, 3] == CLOSED and S[0, 1] == EDGE
     pairs = [(0, 1), (2, 3), (4, 6), (4, 6), (8, 9), (0, 1), (5, 7)]
     triples = [(0, 1, 2), (0, 1, 4), (0, 1, 4), (2, 3, 5), (8, 9, 10)]
-    x, frozen = k4_witness_counts(S, pairs)
-    assert x.shape == (7, 5) and x.dtype == np.int64
-    for j, A in enumerate(pairs):
-        xj, fj = k4_witness_counts(S, [A])
-        assert x[j].tolist() == xj[0].tolist() and frozen[j] == fj[0]
-    assert frozen.tolist() == [True, True, False, False, False, True, False]
-    assert x[0].tolist() == _brute_witness(st, (0, 1))
-    assert x[0, 0] == 0 and x[0, 1] > 0  # A is an edge: no B has f = 0
-    y, frozen = k4_triple_counts(S, triples)
-    assert y.shape == (5, 4) and y.dtype == np.int64
-    for j, A in enumerate(triples):
-        yj, fj = k4_triple_counts(S, [A])
-        assert y[j].tolist() == yj[0].tolist() and frozen[j] == fj[0]
-    assert frozen.tolist() == [True, False, False, False, False]
-    x, frozen = k4_witness_counts(S, np.zeros((0, 2), dtype=int))
-    assert x.shape == (0, 5) and frozen.shape == (0,)
-    y, frozen = k4_triple_counts(S, [])
-    assert y.shape == (0, 4) and frozen.shape == (0,)
+    live, x = k4_witness_counts(S, pairs)
+    assert live.tolist() == [[4, 6], [4, 6], [8, 9], [5, 7]]
+    assert x.shape == (4, 5) and x.dtype == np.int64
+    for j, A in enumerate(live.tolist()):
+        one, xj = k4_witness_counts(S, [A])
+        assert one.tolist() == [A] and x[j].tolist() == xj[0].tolist()
+        assert x[j].tolist() == _brute_witness(st, A)
+    for A in ((0, 1), (2, 3)):
+        one, xj = k4_witness_counts(S, [A])
+        assert one.shape == (0, 2) and xj.shape == (0, 5)
+    live, y = k4_triple_counts(S, triples)
+    assert live.tolist() == [list(A) for A in triples[1:]]
+    assert y.shape == (4, 4) and y.dtype == np.int64
+    for j, A in enumerate(live.tolist()):
+        one, yj = k4_triple_counts(S, [A])
+        assert one.tolist() == [A] and y[j].tolist() == yj[0].tolist()
+    live, x = k4_witness_counts(S, np.zeros((0, 2), dtype=int))
+    assert live.shape == (0, 2) and x.shape == (0, 5)
+    live, y = k4_triple_counts(S, [])
+    assert live.shape == (0, 3) and y.shape == (0, 4)
 
 
 @pytest.mark.parametrize("n", [60, 200])
 def test_counts_match_per_pair_oracle(n):
     # at every snapshot of a K4 run, with the harness's stride, family sizes
-    # and draws, the family calls equal one reference pass per member
+    # and draws, the family calls keep exactly the live members, and their
+    # counts equal one reference pass per member
     rng = np.random.default_rng(n)
     stride = max(1, round(n ** 1.6 / 100))
     pairs = np.sort([rng.choice(n, size=2, replace=False) for _ in range(50)], axis=1)
     triples = np.sort([rng.choice(n, size=3, replace=False) for _ in range(50)], axis=1)
     st = ProcessState(n, 4)
     snapshots = 0
-    seen_frozen = False
+    seen_dropped = False
     while True:
         S = st.status_matrix()
-        x, x_frozen = k4_witness_counts(S, pairs)
-        y, y_frozen = k4_triple_counts(S, triples)
-        for j, A in enumerate(pairs):
-            ref, fr = k4_witness_counts_pair(S, A)
-            assert x[j].tolist() == ref.tolist() and x_frozen[j] == fr
-        for j, A in enumerate(triples):
-            ref, fr = k4_triple_counts_one(S, A)
-            assert y[j].tolist() == ref.tolist() and y_frozen[j] == fr
-        seen_frozen |= bool(x_frozen.any())
+        live_pairs, x = k4_witness_counts(S, pairs)
+        live_triples, y = k4_triple_counts(S, triples)
+        a, b, c = triples.T
+        triangle = (S[a, b] == EDGE) & (S[a, c] == EDGE) & (S[b, c] == EDGE)
+        assert np.array_equal(live_pairs, pairs[S[pairs[:, 0], pairs[:, 1]] == OPEN])
+        assert np.array_equal(live_triples, triples[~triangle])
+        for A, xj in zip(live_pairs, x):
+            assert xj.tolist() == k4_witness_counts_pair(S, A).tolist()
+        for A, yj in zip(live_triples, y):
+            assert yj.tolist() == k4_triple_counts_one(S, A).tolist()
+        seen_dropped |= len(live_pairs) < len(pairs)
         snapshots += 1
         if not st.open_count:
             break
         st.advance(rng, stride)
-    assert snapshots > 50 and seen_frozen
+    assert snapshots > 50 and seen_dropped

@@ -17,7 +17,7 @@ from hfree.ledger import (
     sampled_counts,
 )
 from hfree.process import EDGE, ProcessState
-from conftest import build_graph, force_edge, open_pairs, sampled_counts_loop
+from conftest import build_graph, open_pairs, sampled_counts_loop
 
 
 def test_init_values():
@@ -52,7 +52,7 @@ def test_stale_outcome_rejected(rng):
 def test_n3_after_one_edge():
     st = ProcessState(3, 3)
     led = PairLedger(st, FULL)
-    led.apply_edge(force_edge(st, 0, 1), st)
+    led.apply_edge(st.add_edge(0, 1), st)
     assert led.counts(0, 2) == PairCounts(0, 1, 0)
     assert led.counts(1, 2) == PairCounts(0, 1, 0)
     assert recompute_oracle(st, 0, 2) == PairCounts(0, 1, 0)
@@ -234,7 +234,7 @@ def test_expected_partial_gain_empty():
 def test_expected_partial_quantities_n3():
     st = ProcessState(3, 3)
     led = PairLedger(st, FULL)
-    led.apply_edge(force_edge(st, 0, 1), st)
+    led.apply_edge(st.add_edge(0, 1), st)
     assert expected_partial_loss(led, st, 0, 2) == Fraction(1, 2)
     assert expected_partial_gain(led, 0, 2) == 0
     assert expected_q_drop(led, st) == 2

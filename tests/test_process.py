@@ -21,7 +21,6 @@ from hfree.process import (
 from conftest import (
     adjacency_sets,
     build_graph,
-    force_edge,
     has_clique,
     is_closed_probe,
     open_pairs,
@@ -129,7 +128,7 @@ def test_probe_examples():
 
 def test_k3_closure_is_cherry_completion():
     st = build_graph(5, 3, [(0, 1)])
-    out = force_edge(st, 1, 2)
+    out = st.add_edge(1, 2)
     assert [tuple(sorted(divmod(int(i), 5))) for i in out.closed_ids] == [(0, 2)]
     assert st.status_of(0, 2) == CLOSED
 
@@ -410,19 +409,27 @@ def _m_law(n, rule):
     return law(frozenset())
 
 
-@pytest.mark.parametrize("rule,want,crit", [
-    (K3, {4: Fraction(1, 21), 5: Fraction(124, 945), 6: Fraction(776, 945)}, 13.816),
-    (K4, {7: Fraction(1, 9), 8: Fraction(8, 9)}, 10.828)])
-def test_m_law_n5_through_advance(rule, want, crit):
-    """The law of M at n=5, exact from _m_law, against 4000 seeded runs of
-    advance.  A chi-square test at level 0.001 (crit: its critical value at
-    len(want) - 1 degrees of freedom) has power at least 0.97 against a
-    shift of 0.03 of probability from one value of M to another."""
-    law = _m_law(5, rule)
+@pytest.mark.parametrize("n,rule,want,runs,crit", [
+    pytest.param(5, K3, {4: Fraction(1, 21), 5: Fraction(124, 945),
+                         6: Fraction(776, 945)}, 4000, 13.816, id="K3-n5"),
+    pytest.param(5, K4, {7: Fraction(1, 9), 8: Fraction(8, 9)}, 4000, 10.828, id="K4-n5"),
+    pytest.param(6, K3, {5: Fraction(2, 315), 7: Fraction(868298, 2837835),
+                         8: Fraction(3584123, 14189175), 9: Fraction(2057824, 4729725)},
+                 5000, 16.27, id="K3-n6"),
+    pytest.param(6, K4, {9: Fraction(92, 15015), 10: Fraction(1502, 27027),
+                         11: Fraction(53819, 135135), 12: Fraction(24326, 45045)},
+                 5000, 16.27, id="K4-n6")])
+def test_m_law_through_advance(n, rule, want, runs, crit):
+    """The law of M on n vertices, exact from _m_law, against `runs` seeded
+    runs of advance.  A chi-square test at level 0.001 (crit: its critical
+    value at len(want) - 1 degrees of freedom) has power against a shift of
+    0.03 of probability from one value of M to another of at least 0.97 at
+    n = 5 (4000 runs), and at n = 6 (5000 runs) at least 0.88 for K3 and
+    0.74 for K4."""
+    law = _m_law(n, rule)
     assert law == want
-    rng = np.random.default_rng(55)
-    runs = 4000
-    seen = collections.Counter(ProcessState(5, rule).advance(rng) for _ in range(runs))
+    rng = np.random.default_rng(11 * n)
+    seen = collections.Counter(ProcessState(n, rule).advance(rng) for _ in range(runs))
     assert set(seen) <= set(law)
     chi2 = sum((seen[m] - runs * p) ** 2 / (runs * p) for m, p in law.items())
     assert float(chi2) < crit

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import k3_bad_event_scalar
+from conftest import k3_bad_event_scalar, k4_bad_event_scalar
 from hfree.trajectory import (
     DEFAULT_P_COEFFS,
     k3_bad_event,
@@ -12,6 +12,7 @@ from hfree.trajectory import (
     k3_eval,
     k3_ode_residual,
     k4_bad_event,
+    k4_centers,
     k4_envelope,
     k4_envelope_f,
     k4_eval,
@@ -134,8 +135,7 @@ def test_k3_bad_event_step_zero():
     rep = k3_bad_event(n, 0, n * (n - 1) // 2 - 0, [0], [n - 2], [0], [0])
     # Q at step 0 is C(n,2) = 4950, center 0.5 n^2 = 5000; deviation 50
     # well inside g_q n^2 = n^{11/6}
-    assert not rep
-    assert rep.step == 0
+    assert rep == []
 
 
 def test_k3_bad_event_q_violation():
@@ -143,9 +143,9 @@ def test_k3_bad_event_q_violation():
     n = 10 ** 15
     i = int(0.1 * n ** 1.5)
     rep = k3_bad_event(n, i, 0)
-    assert rep
-    assert rep.violations[0].name == "Q"
-    assert rep.violations[0].observed == 0
+    assert len(rep) == 1
+    assert rep[0].name == "Q"
+    assert rep[0].observed == 0
 
 
 def test_k3_bad_event_z_cap():
@@ -153,7 +153,7 @@ def test_k3_bad_event_z_cap():
     q, _, _ = k3_eval(0.0)
     zbig = int(math.log(n) ** 2) + 1
     rep = k3_bad_event(n, 0, n * (n - 1) // 2, ["p"], [n - 2], [0], [zbig])
-    assert any(v.name.startswith("Z") for v in rep.violations)
+    assert any(v.name.startswith("Z") for v in rep)
 
 
 def test_k3_bad_event_matches_scalar_reference():
@@ -185,12 +185,12 @@ def test_k3_bad_event_matches_scalar_reference():
         fast = k3_bad_event(n, i, q_count, labels, *counts)
         ref = k3_bad_event_scalar(n, i, q_count, rows)
         assert fast == ref
-        assert len(ref.violations) > 10 and fast.step == i
+        assert len(ref) > 10
         # integer count arrays report Python ints
         ints = k3_bad_event(n, i, q_count, np.arange(k), *map(np.array, (xs, ys, zs)))
-        assert ints.violations and all(type(v.observed) is int for v in ints.violations)
+        assert ints and all(type(v.observed) is int for v in ints)
         # edge rows in both flagged and unflagged states
-        names = {v.name for v in ref.violations}
+        names = {v.name for v in ref}
         assert any(name.startswith("X ('e'") for name in names)
         assert "Z z=" in names and "Z z-" not in names
     assert k3_bad_event(60, 0, 1770) == k3_bad_event_scalar(60, 0, 1770)
@@ -198,28 +198,77 @@ def test_k3_bad_event_matches_scalar_reference():
 
 def test_k4_bad_event_step_zero():
     n = 400
-    rep = k4_bad_event(n, 0, n * (n - 1) // 2,
-                       [("0-1", [(n - 2) * (n - 3) // 2, 0, 0, 0, 0])],
-                       [("0-1-2", [n - 3, 0, 0, 0])])
-    assert not rep
+    rep = k4_bad_event(n, 0, n * (n - 1) // 2, [(0, 1)], [[(n - 2) * (n - 3) // 2, 0, 0, 0, 0]],
+                       [(0, 1, 2)], [[n - 3, 0, 0, 0]])
+    assert rep == []
 
 
 def test_k4_bad_event_y3():
     n = 400
-    rep = k4_bad_event(n, 0, n * (n - 1) // 2, [],
-                       [("0-1-2", [n - 3, 0, 0, 16])])
-    assert any(v.name.startswith("Y3") for v in rep.violations)
+    rep = k4_bad_event(n, 0, n * (n - 1) // 2, triples=[(0, 1, 2)], y=[[n - 3, 0, 0, 16]])
+    assert [v.name for v in rep] == ["Y3 0-1-2"]
+    assert (rep[0].center, rep[0].allowed) == (0.0, 15.0)
 
 
 def test_k4_y_band_one_sided():
     # Y counts far below center must not be flagged
     n = 400
     i = int(0.2 * n ** 1.6)
-    rep = k4_bad_event(n, i, _q_count(n, i), [],
-                       [("0-1-2", [0, 0, 0, 0])])
-    assert not any(v.name.startswith("Y0") for v in rep.violations)
+    rep = k4_bad_event(n, i, _q_count(n, i), triples=[(0, 1, 2)], y=[[0, 0, 0, 0]])
+    assert not any(v.name.startswith("Y0") for v in rep)
 
 
 def _q_count(n, i):
     t = i / n ** 1.6
     return int(k4_eval(t)[0] * n * n)
+
+
+def test_k4_bad_event_matches_scalar_reference():
+    # forced violations of every column, at the band edges and their float
+    # neighbours, among random counts: the array scan reports what one test
+    # per count reports, in the same order and with the same types
+    rng = np.random.default_rng(419)
+    for n, i in [(40, 0), (60, 300), (400, 3000), (400, 10_000), (3200, 200_000)]:
+        t, q_center, x_centers, y_centers = k4_centers(n, i)
+        band_q, bands_x, bands_y = k4_envelope(t, n)
+        x_edges = [e for c, g in zip(x_centers, bands_x) for e in (c - g, c + g)]
+        y_edges = [c + g for c, g in zip(y_centers, bands_y)] + [15.0]
+        x_rows, y_rows = [], []
+        for f, e in enumerate(x_edges):
+            for v in (math.floor(e), math.ceil(e), math.ceil(e) + 1):
+                row = rng.integers(0, n * n // 2, 5).tolist()
+                row[f // 2] = max(v, 0)
+                x_rows.append(row)
+        for f, e in enumerate(y_edges):
+            for v in (math.floor(e), math.ceil(e), math.ceil(e) + 1):
+                row = rng.integers(0, n, 4).tolist()
+                row[f] = max(v, 0)
+                y_rows.append(row)
+        x_rows += rng.integers(0, n * n // 2, (100, 5)).tolist()
+        y_rows += rng.integers(0, 20, (100, 4)).tolist()
+        rng.shuffle(x_rows)
+        rng.shuffle(y_rows)
+        pairs = np.sort(rng.integers(0, n, (len(x_rows), 2)), axis=1)
+        triples = np.sort(rng.integers(0, n, (len(y_rows), 3)), axis=1)
+        for q_count in (int(q_center), int(q_center + band_q) + 1):
+            fast = k4_bad_event(n, i, q_count, pairs, np.array(x_rows), triples, np.array(y_rows))
+            ref = k4_bad_event_scalar(
+                n, i, q_count,
+                [("%d-%d" % tuple(A), c) for A, c in zip(pairs.tolist(), x_rows)],
+                [("%d-%d-%d" % tuple(A), c) for A, c in zip(triples.tolist(), y_rows)])
+            assert fast == ref
+            assert [type(v.observed) for v in fast] == [type(v.observed) for v in ref]
+            assert [type(v.center) for v in fast] == [type(v.center) for v in ref]
+            names = {v.name.split()[0] for v in ref}
+            assert names >= {"X%d" % f for f in range(5)} | {"Y%d" % f for f in range(4)}
+            assert ("Q" in names) == (q_count > q_center)
+        # float counts at the band edges themselves and their float neighbours
+        xf, yf = ([[float(v)] * w for e in edges
+                   for v in (np.nextafter(e, -np.inf), e, np.nextafter(e, np.inf))]
+                  for edges, w in ((x_edges, 5), (y_edges, 4)))
+        fast = k4_bad_event(n, i, 0, pairs[:len(xf)], xf, triples[:len(yf)], yf)
+        ref = k4_bad_event_scalar(
+            n, i, 0, [("%d-%d" % tuple(A), c) for A, c in zip(pairs.tolist(), xf)],
+            [("%d-%d-%d" % tuple(A), c) for A, c in zip(triples.tolist(), yf)])
+        assert fast == ref and len(ref) > len(xf)
+    assert k4_bad_event(60, 0, 1770) == k4_bad_event_scalar(60, 0, 1770) == []
