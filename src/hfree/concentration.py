@@ -15,6 +15,10 @@ from typing import NamedTuple
 
 import numpy as np
 
+# walks simulated per batch: bounds the (batch, m) index array of the
+# simulator at CHUNK * m int64 entries
+CHUNK = 20000
+
 
 @dataclass(frozen=True)
 class MartingaleSpec:
@@ -94,8 +98,7 @@ def supermartingale_tail(spec: MartingaleSpec) -> TailBounds:
 
 
 def simulate_bounded_martingale(spec: MartingaleSpec, values, probs, trials: int,
-                                rng, side: str = "upper",
-                                chunk: int = 20000) -> float:
+                                rng, side: str = "upper") -> float:
     """Empirical tail frequency of an i.i.d.-increment walk.
 
     values/probs give a discrete increment law with support inside
@@ -122,14 +125,12 @@ def simulate_bounded_martingale(spec: MartingaleSpec, values, probs, trials: int
     else:
         raise ValueError("side must be 'upper' or 'lower'")
     hits = 0
-    done = 0
-    while done < trials:
-        batch = min(chunk, trials - done)
+    for done in range(0, trials, CHUNK):
+        batch = min(CHUNK, trials - done)
         idx = rng.choice(len(values), size=(batch, spec.m), p=probs)
         sums = values[idx].sum(axis=1)
         if side == "upper":
             hits += int(np.count_nonzero(sums >= spec.a))
         else:
             hits += int(np.count_nonzero(sums <= -spec.a))
-        done += batch
     return hits / trials

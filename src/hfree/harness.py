@@ -413,7 +413,8 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None, edge_logs=False):
 
 def load_records(path):
     """Read a records.jsonl file (or directory containing one).  Returns
-    (config_dict, records); a line that is neither is a ValueError."""
+    (config_dict, records); a line that is neither, or a second config line
+    (two runs in one file), is a ValueError."""
     if os.path.isdir(path):
         path = os.path.join(path, "records.jsonl")
     config = None
@@ -427,6 +428,8 @@ def load_records(path):
             if not isinstance(obj, dict) or ("config" in obj) == ("run_id" in obj):
                 raise ValueError("line %d is neither the config nor a record" % k)
             if "config" in obj:
+                if config is not None:
+                    raise ValueError("line %d: a second config line" % k)
                 config = obj["config"]
             else:
                 records.append(obj)

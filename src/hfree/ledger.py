@@ -34,7 +34,7 @@ FULL = "full"
 SAMPLED = "sampled"
 
 # classes used internally
-_X, _Y, _Z, _NONE = 0, 1, 2, 3
+_X, _Y, _Z = 0, 1, 2
 
 # _CLASS[s1, s2]: one-hot (x, y, z) class of a vertex whose pairs to the two
 # ends of a pair have statuses s1 and s2; all zero for CLOSED and NO_PAIR
@@ -52,20 +52,6 @@ class PairCounts(NamedTuple):
     x: int
     y: int
     z: int
-
-
-def _classify(s1: int, s2: int) -> int:
-    if s1 == OPEN:
-        if s2 == OPEN:
-            return _X
-        if s2 == EDGE:
-            return _Y
-    elif s1 == EDGE:
-        if s2 == OPEN:
-            return _Y
-        if s2 == EDGE:
-            return _Z
-    return _NONE
 
 
 class PairLedger:
@@ -124,18 +110,13 @@ def recompute_oracle(state: ProcessState, u: int, v: int) -> PairCounts:
     """Brute-force PairCounts from scratch.  Test oracle for the ledger."""
     if state.has_edge(u, v):
         raise ValueError("pair {%d,%d} is an edge" % (u, v))
-    x = y = z = 0
+    xyz = [0, 0, 0]
     for w in range(state.n):
-        if w == u or w == v:
-            continue
-        c = _classify(state.status_of(u, w), state.status_of(v, w))
-        if c == _X:
-            x += 1
-        elif c == _Y:
-            y += 1
-        elif c == _Z:
-            z += 1
-    return PairCounts(x, y, z)
+        s1, s2 = state.status_of(u, w), state.status_of(v, w)
+        # by w's edges to the ends; CLOSED or NO_PAIR (w = u, v) drops w
+        if s1 in (OPEN, EDGE) and s2 in (OPEN, EDGE):
+            xyz[(s1 == EDGE) + (s2 == EDGE)] += 1
+    return PairCounts(*xyz)
 
 
 def oracle_counts_matrix(state: ProcessState):

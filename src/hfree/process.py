@@ -13,11 +13,12 @@ n=2000, 100 MB at n=10^4.  A pair {u,v} is addressed by (u, v) in S or by
 its flat code u*n+v in S.ravel(); each step reports the codes of the pairs
 it closed.
 
-Every pair comes from one draw path.  It draws BLOCK codes from a lazily
-compacted list of open pair codes u*n+v (u<v) with one rng call, keeps them
-in draw order in `_pending`, and hands out those still open; a new block is
-drawn, and the list compacted if fewer than half of it is open, only once
-the carried ones are used up.  Each code is an independent uniform draw
+Every pair comes from one draw path.  It draws BLOCK codes from a list of
+open pair codes u*n+v (u<v) with one rng call, keeps them in draw order in
+`_pending`, and hands out those still open.  The list is built once, as one
+array of every pair; a new block is drawn, and the list first replaced by
+its live codes if fewer than half of it is open (freeing the old one), only
+once the carried ones are used up.  Each code is an independent uniform draw
 from the list as it was when its block was drawn, and every pair open now
 was open then and is in that list once, so the first carried code still
 open is uniform over the open pairs now.  `choose` takes that code.
@@ -69,7 +70,11 @@ def _upper_codes(n: int) -> np.ndarray:
     """Codes u*n+v of the pairs u < v, in row-major order; this order fixes
     which pair a draw from the open list picks."""
     cols = np.arange(n, dtype=np.int32)
-    return np.concatenate([u * n + cols[u + 1:] for u in range(n)])
+    codes = np.empty(n * (n - 1) // 2, dtype=np.int32)
+    for u in range(n - 1):
+        start = u * (2 * n - u - 1) // 2  # the id of the pair (u, u+1)
+        np.add(cols[u + 1:], u * n, out=codes[start:start + n - 1 - u])
+    return codes
 
 
 def pair_codes(n: int, ids) -> np.ndarray:
@@ -113,6 +118,7 @@ class ProcessState:
         self.open_count = self.npairs
         self._open = _upper_codes(n)
         self._pending = self._open[:0]  # drawn codes not yet used, in draw order
+        self._rows = np.empty((2 * BLOCK, n), dtype=np.uint8)  # for _k3_closed
         self.edge_log: list[tuple[int, int]] = []
 
     # ------------------------------------------------------------------ views
@@ -134,17 +140,15 @@ class ProcessState:
 
     def _live_codes(self, rng) -> np.ndarray:
         """The carried codes that are still open, in draw order.  Only when
-        none is left is the open list compacted (if fewer than half of it is
-        open) and a block of BLOCK codes drawn from it: the one rng call of
-        the process.  Needs an open pair."""
+        none is left is the open list replaced by its live codes (if fewer
+        than half of it is open) and a block of BLOCK codes drawn from it:
+        the one rng call of the process.  Needs an open pair."""
         flat = self.S.reshape(-1)
         codes = self._pending[flat[self._pending] == OPEN]
         while not len(codes):
             lst = self._open
             if 2 * self.open_count < len(lst):
-                live = lst[flat[lst] == OPEN]
-                lst[:len(live)] = live
-                self._open = lst = lst[:len(live)]
+                self._open = lst = lst[flat[lst] == OPEN]
             codes = lst[rng.integers(len(lst), size=BLOCK)]
             codes = codes[flat[codes] == OPEN]
         return codes
@@ -195,11 +199,12 @@ class ProcessState:
         repeats counts those."""
         n, k = self.n, len(us)
         ends = np.concatenate([us, vs])
-        rows = self.S[ends]
-        edge = rows == EDGE
+        # into a kept buffer: new rows each pass would be page-faulted in
+        # anew; "clip" (ends are in range) spares the copy "raise" makes
+        rows = np.take(self.S, ends, axis=0, out=self._rows[:2 * k], mode="clip")
         mask = rows == OPEN
-        mask[:k] &= edge[k:]
-        mask[k:] &= edge[:k]
+        mask[:k] &= rows[k:] == EDGE
+        mask[k:] &= rows[:k] == EDGE
         # a 1-D nonzero of the flat mask lists the pairs in the row-major
         # order of a 2-D nonzero at under half its cost at n=2000
         side, w = np.divmod(mask.ravel().nonzero()[0], n)

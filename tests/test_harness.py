@@ -270,10 +270,13 @@ def test_sampled_mode_labels_are_codes_of_the_counted_pairs(monkeypatch):
     # at n > 64 a K3 trial counts a drawn witness family; each label that
     # reaches the scan is the code u*n+v, u < v, of a non-edge pair whose
     # X/Y/Z are the counts of the two rows it names at that step
+    # the open list as built: the code of every pair, in row-major order
+    for m in (2, 3, 4, 5, 62, 63, 64, 65, 90, 300):
+        codes = process._upper_codes(m)
+        assert codes.dtype == np.int32
+        assert np.array_equal(codes, process.pair_codes(m, np.arange(len(codes))))
+        assert np.array_equal(codes, np.flatnonzero(np.triu(np.ones((m, m), dtype=bool), 1)))
     n = 90
-    codes = process.pair_codes(n, np.arange(n * (n - 1) // 2))
-    assert np.array_equal(codes, process._upper_codes(n))
-    assert np.array_equal(codes, np.flatnonzero(np.triu(np.ones((n, n), dtype=bool), 1)))
     seen = []
     scan = trajectory.k3_bad_event
 
@@ -525,16 +528,19 @@ def test_run_rejects_bad_config_in_one_line(tmp_path, capsys):
 
 def test_stray_record_lines_are_one_line_errors(tmp_path, capsys):
     # a line that is neither the config nor a record (no run_id, not a dict,
-    # or both keys), or is no JSON at all (blank, or a truncated record),
-    # fails verify and plot-data with one line naming it, not a KeyError
-    # traceback or the decoder's position inside that line
+    # or both keys), is no JSON at all (blank, or a truncated record), or is
+    # a second config (two runs' records joined), fails verify and plot-data
+    # with one line naming it, not a KeyError traceback, the decoder's
+    # position inside that line, or a replay under the last config
     run_experiment(ExperimentConfig(process="K3", n_list=(10,), base_seed=3), tmp_path)
     lines = (tmp_path / "records.jsonl").read_text().splitlines()
     config = json.loads(lines[0])
     strays = [(json.dumps(stray), "line 3 is neither the config nor a record")
               for stray in ({"n": 12, "trial": 0}, {}, [1], dict(config, run_id="n10-t0"))]
     strays += [("", "line 3: Expecting value"),
-               (lines[1][:-1], "line 3: Expecting ',' delimiter")]
+               (lines[1][:-1], "line 3: Expecting ',' delimiter"),
+               (json.dumps({"config": dict(config["config"], base_seed=4)}),
+                "line 3: a second config line")]
     for stray, msg in strays:
         path = tmp_path / "stray.jsonl"
         path.write_text("\n".join(lines + [stray]) + "\n")

@@ -204,6 +204,7 @@ def test_choose_uniform_over_open_pairs(rng):
     st._pending = st._pending[:0]
     st.choose(rng)  # draws a block, so compacts first
     assert len(st._open) == st.open_count > 1
+    assert st._open.base is None  # the live codes own their buffer
     chi2, crit = _choose_chi2(st, rng, 20_000)
     assert chi2 < crit
 
@@ -384,52 +385,86 @@ def test_k3_n4_law_through_advance():
     assert abs(hits / trials - p) <= 3 * (p * (1 - p) / trials) ** 0.5
 
 
-def _m_law(n, rule):
-    """Exact law of M, the final edge count, on n vertices: a DP over the
-    labelled graphs the process can reach, each open pair equally likely
-    at each step."""
+@functools.lru_cache(maxsize=None)
+def _graph_law(n, rule):
+    """Exact law of the final labelled graph on n vertices, as a dict from
+    its edge set (pairs u < v) to its probability: a DP forward over the
+    labelled graphs the process can reach, one edge count at a time, each
+    open pair equally likely at each step."""
     pairs = list(itertools.combinations(range(n), 2))
+    final = {}
+    level = {frozenset(): Fraction(1)}
+    while level:
+        nxt = collections.defaultdict(Fraction)
+        for edges, p in level.items():
+            adj = [set() for _ in range(n)]
+            for u, v in edges:
+                adj[u].add(v)
+                adj[v].add(u)
+            opens = [(u, v) for u, v in pairs if v not in adj[u]
+                     and not has_clique(adj, adj[u] & adj[v], rule - 2)]
+            if not opens:
+                final[edges] = p
+            for e in opens:
+                nxt[edges | {e}] += p / len(opens)
+        level = nxt
+    return final
 
-    @functools.lru_cache(maxsize=None)
-    def law(edges):
-        adj = [set() for _ in range(n)]
-        for u, v in edges:
-            adj[u].add(v)
-            adj[v].add(u)
-        opens = [(u, v) for u, v in pairs if v not in adj[u]
-                 and not has_clique(adj, adj[u] & adj[v], rule - 2)]
-        if not opens:
-            return {len(edges): Fraction(1)}
-        out = {}
-        for e in opens:
-            for m, p in law(edges | {e}).items():
-                out[m] = out.get(m, 0) + p / len(opens)
-        return out
 
-    return law(frozenset())
+def _m_law(n, rule):
+    """Exact law of M, the final edge count: the marginal of _graph_law."""
+    law = collections.defaultdict(Fraction)
+    for edges, p in _graph_law(n, rule).items():
+        law[len(edges)] += p
+    return law
 
 
-@pytest.mark.parametrize("n,rule,want,runs,crit", [
+@pytest.mark.parametrize("n,rule,want,runs,crit,graphs", [
     pytest.param(5, K3, {4: Fraction(1, 21), 5: Fraction(124, 945),
-                         6: Fraction(776, 945)}, 4000, 13.816, id="K3-n5"),
-    pytest.param(5, K4, {7: Fraction(1, 9), 8: Fraction(8, 9)}, 4000, 10.828, id="K4-n5"),
+                         6: Fraction(776, 945)}, 4000, 13.816,
+                 # 5 stars, 12 five-cycles and 10 K_{2,3}
+                 ({Fraction(1, 105): 5, Fraction(31, 2835): 12, Fraction(388, 4725): 10},
+                  54.05), id="K3-n5"),
+    pytest.param(5, K4, {7: Fraction(1, 9), 8: Fraction(8, 9)}, 4000, 10.828,
+                 # 10 K5 less a triangle and 15 K5 less two disjoint edges
+                 ({Fraction(1, 90): 10, Fraction(8, 135): 15}, 51.18), id="K4-n5"),
     pytest.param(6, K3, {5: Fraction(2, 315), 7: Fraction(868298, 2837835),
                          8: Fraction(3584123, 14189175), 9: Fraction(2057824, 4729725)},
-                 5000, 16.27, id="K3-n6"),
+                 5000, 16.27, None, id="K3-n6"),
     pytest.param(6, K4, {9: Fraction(92, 15015), 10: Fraction(1502, 27027),
                          11: Fraction(53819, 135135), 12: Fraction(24326, 45045)},
-                 5000, 16.27, id="K4-n6")])
-def test_m_law_through_advance(n, rule, want, runs, crit):
+                 5000, 16.27, None, id="K4-n6")])
+def test_m_law_through_advance(n, rule, want, runs, crit, graphs):
     """The law of M on n vertices, exact from _m_law, against `runs` seeded
     runs of advance.  A chi-square test at level 0.001 (crit: its critical
     value at len(want) - 1 degrees of freedom) has power against a shift of
     0.03 of probability from one value of M to another of at least 0.97 at
     n = 5 (4000 runs), and at n = 6 (5000 runs) at least 0.88 for K3 and
-    0.74 for K4."""
+    0.74 for K4.
+
+    At n = 5 the same runs also test the law of the final labelled graph,
+    which checks that advance favours no labels: `graphs` gives how many
+    graphs have each probability under _graph_law, and the critical value
+    of that chi-square test at level 0.001 (the number of graphs less one
+    degrees of freedom; the smallest expected count is 38)."""
     law = _m_law(n, rule)
     assert law == want
     rng = np.random.default_rng(11 * n)
-    seen = collections.Counter(ProcessState(n, rule).advance(rng) for _ in range(runs))
+    finals = collections.Counter()
+    for _ in range(runs):
+        st = ProcessState(n, rule)
+        st.advance(rng)
+        finals[frozenset(st.edge_log)] += 1
+    seen = collections.Counter()
+    for edges, count in finals.items():
+        seen[len(edges)] += count
     assert set(seen) <= set(law)
     chi2 = sum((seen[m] - runs * p) ** 2 / (runs * p) for m, p in law.items())
     assert float(chi2) < crit
+    if graphs is not None:
+        sizes, crit = graphs
+        graph_law = _graph_law(n, rule)
+        assert collections.Counter(graph_law.values()) == sizes
+        assert set(finals) <= set(graph_law)
+        chi2 = sum((finals[g] - runs * p) ** 2 / (runs * p) for g, p in graph_law.items())
+        assert float(chi2) < crit
