@@ -30,8 +30,8 @@ class AlphaResult:
 def graph_from_edges(n: int, edges) -> np.ndarray:
     """n x n bool adjacency matrix of the given edges."""
     adj = np.zeros((n, n), dtype=bool)
-    for u, v in edges:
-        adj[u, v] = adj[v, u] = True
+    e = np.asarray(edges, dtype=np.intp).reshape(-1, 2)
+    adj[e, e[:, ::-1]] = True  # (u, v) and (v, u) of each row (u, v)
     return adj
 
 

@@ -1,24 +1,37 @@
-"""Edge-log and graph6 export."""
+"""Edge-log and graph6 export.  Edges are an (m, 2) integer array or a
+sequence of (u, v) pairs."""
 
 from __future__ import annotations
 
 import numpy as np
 
+# edges formatted per string by write_edge_log
+LOG_CHUNK = 4096
+
+
+def _edges(edges) -> np.ndarray:
+    return np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+
+
+def _edge_lines(edges) -> str:
+    """One line 'u v' per edge, u < v."""
+    e = np.sort(_edges(edges), axis=1)
+    return ("%d %d\n" * len(e)) % tuple(e.ravel().tolist())
+
 
 def edge_log_text(n: int, rule: int, seed, edges) -> str:
     """Edge list as text: header 'n=<n> rule=K<order> seed=<seed>' then one
     edge per line 'u v' with u < v, 0-based."""
-    lines = ["n=%d rule=K%d seed=%s" % (n, rule, seed)]
-    for u, v in edges:
-        if u > v:
-            u, v = v, u
-        lines.append("%d %d" % (u, v))
-    return "\n".join(lines) + "\n"
+    return "n=%d rule=K%d seed=%s\n" % (n, rule, seed) + _edge_lines(edges)
 
 
 def write_edge_log(path, n, rule, seed, edges):
+    """edge_log_text to path, formatted LOG_CHUNK edges at a time (edges:
+    an array or a list)."""
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(edge_log_text(n, rule, seed, edges))
+        fh.write(edge_log_text(n, rule, seed, edges[:LOG_CHUNK]))
+        for start in range(LOG_CHUNK, len(edges), LOG_CHUNK):
+            fh.write(_edge_lines(edges[start:start + LOG_CHUNK]))
 
 
 def parse_edge_log(text: str):
@@ -38,16 +51,17 @@ def graph6_line(n: int, edges) -> str:
         head = bytes([n + 63])
     else:
         head = bytes([126, (n >> 12) + 63, ((n >> 6) & 63) + 63, (n & 63) + 63])
-    e = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
-    lo, hi = np.minimum(e[:, 0], e[:, 1]), np.maximum(e[:, 0], e[:, 1])
+    e = _edges(edges)
+    lo, hi = e.min(axis=1), e.max(axis=1)
     bad = np.flatnonzero((lo == hi) | (lo < 0) | (hi >= n))
     if len(bad):
         raise ValueError("bad edge (%d,%d)" % tuple(e[bad[0]]))
     # bits run column by column over the upper triangle: (u, v) for u < v
-    # is bit v(v-1)/2 + u
-    bits = np.zeros(-(-n * (n - 1) // 12) * 6, dtype=np.uint8)
-    bits[hi * (hi - 1) // 2 + lo] = 1
-    body = bits.reshape(-1, 6) @ np.array([32, 16, 8, 4, 2, 1], dtype=np.uint8) + 63
+    # is bit v(v-1)/2 + u, six to a character, the first one its 32 bit
+    pos = hi * (hi - 1) // 2 + lo
+    body = np.zeros(-(-n * (n - 1) // 12), dtype=np.uint8)
+    np.bitwise_or.at(body, pos // 6, 32 >> (pos % 6))
+    body += 63
     return (head + body.tobytes()).decode("ascii")
 
 

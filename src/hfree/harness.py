@@ -278,7 +278,9 @@ def _draw_vertex_sets(rng, n, size, count):
 def run_trial(cfg: ExperimentConfig, n: int, trial: int, global_index: int,
               phases: dict | None = None):
     """One deterministic trial: (record, edge_log).  The record is a plain
-    JSON-serializable dict; edge_log is the trial's edges in the order added.
+    JSON-serializable dict; edge_log is the trial's edges (u, v), u < v, in
+    the order added, as an int32 array of shape exactly (steps, 2) that owns
+    its memory, so it pins neither the state's log nor S.
     A `phases` dict receives the wall seconds spent in the process, the
     snapshots and alpha (process_s, snapshot_s, alpha_s), and the steps."""
     clock = time.perf_counter
@@ -352,7 +354,7 @@ def run_trial(cfg: ExperimentConfig, n: int, trial: int, global_index: int,
         "max_degree": delta,
         "violations_total": int(sum(s["violations"] for s in snapshots)),
     }
-    return record, state.edge_log
+    return record, state.edge_log.copy()
 
 
 def _timed_trial(cfg, n, trial, gidx):

@@ -11,17 +11,21 @@ NO_PAIR on the diagonal; rows of S are the neighbourhoods, and closure is
 found from the two rows of the new edge's ends.  S costs n^2 bytes: 4 MB at
 n=2000, 100 MB at n=10^4.  A pair {u,v} is addressed by (u, v) in S or by
 its flat code u*n+v in S.ravel(); each step reports the codes of the pairs
-it closed.
+it closed.  The edges go, in the order added, into one int32 (steps, 2)
+log that doubles as it fills.
 
-Every pair comes from one draw path.  It draws BLOCK codes from a list of
-open pair codes u*n+v (u<v) with one rng call, keeps them in draw order in
-`_pending`, and hands out those still open.  The list is built once, as one
-array of every pair; a new block is drawn, and the list first replaced by
-its live codes if fewer than half of it is open (freeing the old one), only
-once the carried ones are used up.  Each code is an independent uniform draw
-from the list as it was when its block was drawn, and every pair open now
-was open then and is in that list once, so the first carried code still
-open is uniform over the open pairs now.  `choose` takes that code.
+Every pair comes from one draw path.  It draws BLOCK ids into a list of
+open pair codes u*n+v (u<v) with one rng call, keeps their codes in draw
+order in `_pending`, and hands out those still open.  Until fewer than half
+of the pairs are open the list is every pair in row-major order, so it is
+never held: `pair_codes` maps the ids to their codes.  Only once the
+carried codes are used up is a new block drawn, the list first replaced by
+its live codes if fewer than half of it is open: the first time read from
+the upper triangle of S, later by dropping the closed codes of the list.
+Each code is an independent uniform draw from the list as it was when its
+block was drawn, and every pair open now was open then and is in that list
+once, so the first carried code still open is uniform over the open pairs
+now.  `choose` takes that code.
 
 `advance` runs many steps.  Each pass takes the live carried codes and
 adds the longest run of them that can go in as one batch, with one set of
@@ -58,6 +62,8 @@ CLOSED = 2
 NO_PAIR = 3
 # open-list codes drawn per rng call, once the carried ones are used up
 BLOCK = 64
+# entries of S, or of the open list, that a compaction reads per chunk
+CHUNK = 1 << 16
 # largest n whose pair codes u*n+v, all below n*n, fit the int32 code arrays
 N_MAX = 46340
 
@@ -66,20 +72,10 @@ class ProcessTerminated(Exception):
     """Signals that no open pair remains.  Not a fault."""
 
 
-def _upper_codes(n: int) -> np.ndarray:
-    """Codes u*n+v of the pairs u < v, in row-major order; this order fixes
-    which pair a draw from the open list picks."""
-    cols = np.arange(n, dtype=np.int32)
-    codes = np.empty(n * (n - 1) // 2, dtype=np.int32)
-    for u in range(n - 1):
-        start = u * (2 * n - u - 1) // 2  # the id of the pair (u, u+1)
-        np.add(cols[u + 1:], u * n, out=codes[start:start + n - 1 - u])
-    return codes
-
-
 def pair_codes(n: int, ids) -> np.ndarray:
-    """Codes of the pairs numbered ids in the order of `_upper_codes`;
-    sorted ids give sorted codes."""
+    """Codes u*n+v of the pairs u < v numbered ids in row-major order, the
+    order that fixes which pair a draw from the open list picks; sorted ids
+    give sorted codes."""
     rows = np.arange(n)
     starts = rows * (2 * n - rows - 1) // 2  # the id of the pair (u, u+1)
     us = np.searchsorted(starts, ids, side="right") - 1
@@ -102,7 +98,8 @@ class StepOutcome(NamedTuple):
 
 
 class ProcessState:
-    """Evolving graph as an n x n pair-status matrix, plus the open-pair list."""
+    """Evolving graph as an n x n pair-status matrix, plus the open-pair list
+    once it is first compacted, and the edge log."""
 
     def __init__(self, n: int, rule: int = K3):
         if not 2 <= n <= N_MAX:
@@ -116,10 +113,10 @@ class ProcessState:
         self.S = np.zeros((n, n), dtype=np.uint8)  # all OPEN
         np.fill_diagonal(self.S, NO_PAIR)
         self.open_count = self.npairs
-        self._open = _upper_codes(n)
-        self._pending = self._open[:0]  # drawn codes not yet used, in draw order
-        self._rows = np.empty((2 * BLOCK, n), dtype=np.uint8)  # for _k3_closed
-        self.edge_log: list[tuple[int, int]] = []
+        self._open = None  # the open list; None while it is every pair
+        self._pending = np.zeros(0, dtype=np.int32)  # drawn codes not yet used, in draw order
+        self._rows = np.empty((2 * BLOCK, n), dtype=np.uint8)  # rows of S read per pass
+        self._log = np.empty((BLOCK, 2), dtype=np.int32)  # edge_log and its free tail
 
     # ------------------------------------------------------------------ views
 
@@ -136,6 +133,14 @@ class ProcessState:
     def has_edge(self, u: int, v: int) -> bool:
         return bool(self.S[u, v] == EDGE)
 
+    @property
+    def edge_log(self) -> np.ndarray:
+        """The edges (u, v), u < v, in the order added: a read-only int32
+        (steps, 2) view of the live log."""
+        log = self._log[:self.steps]
+        log.flags.writeable = False
+        return log
+
     # ------------------------------------------------------------------ steps
 
     def _live_codes(self, rng) -> np.ndarray:
@@ -146,12 +151,40 @@ class ProcessState:
         flat = self.S.reshape(-1)
         codes = self._pending[flat[self._pending] == OPEN]
         while not len(codes):
+            if 2 * self.open_count < (self.npairs if self._open is None else len(self._open)):
+                self._compact()
             lst = self._open
-            if 2 * self.open_count < len(lst):
-                self._open = lst = lst[flat[lst] == OPEN]
-            codes = lst[rng.integers(len(lst), size=BLOCK)]
+            if lst is None:
+                codes = pair_codes(self.n, rng.integers(self.npairs, size=BLOCK))
+            else:
+                codes = lst[rng.integers(len(lst), size=BLOCK)]
             codes = codes[flat[codes] == OPEN]
         return codes
+
+    def _compact(self):
+        """Replace the open list by its live codes, in order: one int32
+        array of open_count entries, read about CHUNK entries at a time, so
+        that no temporary of the list's size is made.  The first time they
+        are read from the upper triangle of S into a new array, later moved
+        to the front of the list, which is then shrunk in place (realloc
+        keeps the front without a copy; no view of the list is ever kept)."""
+        n, flat, lst = self.n, self.S.reshape(-1), self._open
+        pos = 0
+        if lst is None:
+            lst = np.empty(self.open_count, dtype=np.int32)
+            rows = max(1, CHUNK // n)
+            for u in range(0, n - 1, rows):
+                live = np.flatnonzero(np.triu(self.S[u:u + rows] == OPEN, u + 1)) + u * n
+                lst[pos:pos + len(live)] = live
+                pos += len(live)
+        else:
+            for start in range(0, len(lst), CHUNK):
+                part = lst[start:start + CHUNK]
+                live = part[flat[part] == OPEN]
+                lst[pos:pos + len(live)] = live
+                pos += len(live)
+            lst.resize(pos, refcheck=False)
+        self._open = lst
 
     def choose(self, rng):
         """A uniformly random open pair (u, v), u < v: the first live drawn
@@ -188,8 +221,14 @@ class ProcessState:
             a, b, repeats = self._k4_closed(us, vs, C)
         S[a, b] = S[b, a] = CLOSED
         self.open_count -= len(us) + len(a) - repeats
+        start = self.steps
         self.steps += len(us)
-        self.edge_log.extend(zip(us.tolist(), vs.tolist()))
+        if self.steps > len(self._log):
+            log = np.empty((2 * self.steps, 2), dtype=np.int32)
+            log[:start] = self._log[:start]
+            self._log = log
+        self._log[start:self.steps, 0] = us
+        self._log[start:self.steps, 1] = vs
         return a, b
 
     def _k3_closed(self, us, vs) -> tuple[np.ndarray, np.ndarray, int]:
@@ -199,12 +238,7 @@ class ProcessState:
         repeats counts those."""
         n, k = self.n, len(us)
         ends = np.concatenate([us, vs])
-        # into a kept buffer: new rows each pass would be page-faulted in
-        # anew; "clip" (ends are in range) spares the copy "raise" makes
-        rows = np.take(self.S, ends, axis=0, out=self._rows[:2 * k], mode="clip")
-        mask = rows == OPEN
-        mask[:k] &= rows[k:] == EDGE
-        mask[k:] &= rows[:k] == EDGE
+        mask = self._open_to_edge(us, vs)
         # a 1-D nonzero of the flat mask lists the pairs in the row-major
         # order of a 2-D nonzero at under half its cost at n=2000
         side, w = np.divmod(mask.ravel().nonzero()[0], n)
@@ -215,16 +249,43 @@ class ProcessState:
             repeats = int(np.count_nonzero(both & both.T)) // 2
         return ends[side], w, repeats
 
+    def _end_rows(self, xs, ys) -> tuple[np.ndarray, np.ndarray]:
+        """(mask, both): the 2k rows of the kept buffer as bool, free for a
+        mask, and its last k rows both[j] = 4 S[ys[j]] + S[xs[j]], which
+        codes both ends' statuses at once (each is below 4).  The buffer
+        spares the page faults of new rows each pass; "clip" (the ends are
+        in range) spares the copy that "raise" makes."""
+        k = len(xs)
+        rows = np.take(self.S, np.concatenate([xs, ys]), axis=0, out=self._rows[:2 * k],
+                       mode="clip")
+        both = rows[k:]
+        both *= 4
+        both += rows[:k]
+        return rows.view(bool), both
+
+    def _open_to_edge(self, xs, ys) -> np.ndarray:
+        """2k x n bool mask, a view of the kept buffer: row j < k marks the
+        w with {xs[j], w} open and {ys[j], w} an edge, row k + j the same with
+        xs[j] and ys[j] swapped."""
+        mask, both = self._end_rows(xs, ys)
+        k = len(xs)
+        np.equal(both, 4 * EDGE + OPEN, out=mask[:k])
+        np.equal(both, 4 * OPEN + EDGE, out=mask[k:])
+        return mask
+
     def _common(self, us, vs) -> np.ndarray:
-        """k x n bool rows C[j] = N(us[j]) ∩ N(vs[j])."""
-        return (self.S[us] == EDGE) & (self.S[vs] == EDGE)
+        """k x n bool rows C[j] = N(us[j]) ∩ N(vs[j]), a view of the kept
+        buffer."""
+        mask, both = self._end_rows(us, vs)
+        return np.equal(both, 4 * EDGE + EDGE, out=mask[:len(us)])
 
     def _k4_closed(self, us, vs, C) -> tuple[np.ndarray, np.ndarray, int]:
         """The open pairs of the K4-minus-a-pair witnesses of the new edges
         {us[j], vs[j]}, read once they are in: the pairs inside C[j], and
         {u_j, w} with w ~ v_j and w adjacent to a vertex of C[j] (and the
         mirror case {v_j, w}), each once.  An edge with C[j] empty closes
-        nothing.  C is read here if not given: the new edges leave it as is."""
+        nothing.  C is read here if not given: the new edges leave it as is.
+        C is read first, as the kept buffer that may hold it is reused."""
         n, S, k = self.n, self.S, len(us)
         if C is None:
             C = self._common(us, vs)
@@ -245,7 +306,7 @@ class ProcessState:
         # other end: it closes if w is adjacent to some entry of row j
         rows = size.nonzero()[0]
         ends = np.concatenate([us[rows], vs[rows]])
-        mask = (S[np.concatenate([vs[rows], us[rows]])] == EDGE) & (S[ends] == OPEN)
+        mask = self._open_to_edge(us[rows], vs[rows])
         side, w = np.divmod(mask.ravel().nonzero()[0], n)
         j = rows[side % len(rows)]
         cand = np.arange(len(w)).repeat(size[j])

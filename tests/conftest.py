@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from hfree.analysis import AlphaResult
-from hfree.process import CLOSED, EDGE, K3, OPEN, ProcessState
+from hfree.process import CLOSED, EDGE, K3, OPEN, ProcessState, pair_codes
 from hfree.trajectory import (Violation, k3_envelope, k3_eval, k4_centers,
                               k4_envelope)
 
@@ -35,6 +35,20 @@ def is_closed_probe(state, u, v):
 def adjacency_sets(S):
     """Neighbour sets of the graph whose status matrix is S."""
     return [set(np.flatnonzero(row == EDGE).tolist()) for row in S]
+
+
+def upper_codes(n):
+    """Codes u*n+v of the pairs u < v, in row-major order: the open list
+    before its first compaction."""
+    return np.flatnonzero(np.triu(np.ones((n, n), dtype=bool), 1))
+
+
+def drawn_codes(state, ids):
+    """The codes that the open-list indices ids pick for state: from its
+    list once built, else from every pair in row-major order."""
+    if state._open is None:
+        return pair_codes(state.n, ids)
+    return state._open[ids]
 
 
 def open_pairs(state):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from hfree.graphio import (
+    LOG_CHUNK,
     edge_log_text,
     graph6_line,
     parse_edge_log,
@@ -25,6 +26,41 @@ def test_edge_log_roundtrip(tmp_path):
     n, rule, seed, parsed = parse_edge_log(path.read_text())
     assert (n, rule, seed) == (6, 4, "1234")
     assert parsed == edges
+
+
+def test_edge_log_from_an_array_in_chunks(tmp_path):
+    rng = np.random.default_rng(4)
+    edges = rng.integers(0, 1000, size=(2 * LOG_CHUNK + 5, 2)).astype(np.int32)
+    want = "n=1000 rule=K3 seed=7\n" + "".join(
+        "%d %d\n" % (min(u, v), max(u, v)) for u, v in edges.tolist())
+    assert edge_log_text(1000, 3, 7, edges) == want
+    for m in (0, 1, LOG_CHUNK, len(edges)):
+        path = tmp_path / ("run%d.edges" % m)
+        write_edge_log(path, 1000, 3, 7, edges[:m])
+        assert path.read_text() == edge_log_text(1000, 3, 7, edges[:m].tolist())
+
+
+def _graph6_dense(n, edges):
+    """Reference graph6 body: one uint8 per pair, packed by a product."""
+    bits = np.zeros(-(-n * (n - 1) // 12) * 6, dtype=np.uint8)
+    for u, v in edges:
+        u, v = min(u, v), max(u, v)
+        bits[v * (v - 1) // 2 + u] = 1
+    body = bits.reshape(-1, 6) @ np.array([32, 16, 8, 4, 2, 1], dtype=np.uint8) + 63
+    return body.tobytes().decode("ascii")
+
+
+def test_graph6_body_matches_dense_reference():
+    rng = np.random.default_rng(5)
+    for n in (0, 1, 2, 3, 62, 63, 64, 100, 300):
+        m = n * (n - 1) // 2
+        pairs = np.array(list(itertools.combinations(range(n), 2)), dtype=np.int32).reshape(-1, 2)
+        edges = pairs[rng.random(m) < 0.3]
+        # either orientation, and an edge given twice, set the same bit
+        edges = np.concatenate([edges, edges[:3, ::-1]])
+        line = graph6_line(n, edges)
+        assert line == line[:1 if n <= 62 else 4] + _graph6_dense(n, edges)
+        assert line == graph6_line(n, edges.tolist())
 
 
 def _decode_graph6(line):

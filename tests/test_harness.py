@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import has_clique, k3_bad_event_scalar, sampled_counts_loop
+from conftest import has_clique, k3_bad_event_scalar, sampled_counts_loop, upper_codes
 from hfree import analysis, cli, harness, process, trajectory
 from hfree.ledger import FULL, PairLedger
 from hfree.process import EDGE, ProcessState
@@ -232,7 +232,7 @@ def test_k3_edge_log_does_not_depend_on_snapshot_stride():
             rec, edge_log = run_trial(cfg, n, 0, 0)
             assert rec["completed"] and len(edge_log) == rec["M"]
             logs.append(edge_log)
-        assert logs[0] == logs[1] == logs[2]
+        assert np.array_equal(logs[0], logs[1]) and np.array_equal(logs[0], logs[2])
 
 
 def test_run_trial_k4_record():
@@ -270,12 +270,10 @@ def test_sampled_mode_labels_are_codes_of_the_counted_pairs(monkeypatch):
     # at n > 64 a K3 trial counts a drawn witness family; each label that
     # reaches the scan is the code u*n+v, u < v, of a non-edge pair whose
     # X/Y/Z are the counts of the two rows it names at that step
-    # the open list as built: the code of every pair, in row-major order
+    # pair_codes numbers every pair in row-major order
     for m in (2, 3, 4, 5, 62, 63, 64, 65, 90, 300):
-        codes = process._upper_codes(m)
-        assert codes.dtype == np.int32
+        codes = upper_codes(m)
         assert np.array_equal(codes, process.pair_codes(m, np.arange(len(codes))))
-        assert np.array_equal(codes, np.flatnonzero(np.triu(np.ones((m, m), dtype=bool), 1)))
     n = 90
     seen = []
     scan = trajectory.k3_bad_event
@@ -301,6 +299,15 @@ def test_sampled_mode_labels_are_codes_of_the_counted_pairs(monkeypatch):
         for got, want in zip(counts, sampled_counts_loop(st, labels)):
             assert np.array_equal(got, want)
     assert len(seen[-1][1]) < 60  # some witnesses became edges
+
+
+def test_run_trial_edge_log_is_an_exact_int32_array():
+    for rule, stop in (("K3", "full"), ("K3", "steps:70"), ("K4", "full")):
+        cfg = ExperimentConfig(process=rule, n_list=(30,), stop=stop)
+        rec, edge_log = run_trial(cfg, 30, 0, 0)
+        assert edge_log.dtype == np.int32 and edge_log.shape == (rec["steps"], 2)
+        assert edge_log.base is None  # a copy: pins neither the log's tail nor S
+        assert np.all(edge_log[:, 0] < edge_log[:, 1])
 
 
 def test_capped_run_has_no_m():

@@ -17,7 +17,7 @@ from hfree.ledger import (
     sampled_counts,
 )
 from hfree.process import EDGE, ProcessState
-from conftest import build_graph, open_pairs, sampled_counts_loop
+from conftest import build_graph, open_pairs, sampled_counts_loop, upper_codes
 
 
 def test_init_values():
@@ -183,16 +183,11 @@ def test_q_drop_exact_identity(rng):
         led.apply_edge(out, st)
 
 
-def _upper_codes(n):
-    """Codes u*n+v of the pairs u < v, in row-major order."""
-    return np.flatnonzero(np.triu(np.ones((n, n), dtype=bool), 1))
-
-
 def test_sampled_counts_match_oracle_at_every_code(rng):
     # edges too: a pair's counts come from the two rows its code names
     st = ProcessState(10, 3)
     st.advance(rng, 8)
-    codes = _upper_codes(10)
+    codes = upper_codes(10)
     for got, want in zip(sampled_counts(st, codes), oracle_counts_matrix(st)):
         assert np.array_equal(got, want.ravel()[codes])
 
@@ -201,7 +196,7 @@ def test_sampled_counts_match_oracle_at_every_code(rng):
 def test_sampled_counts_match_loop(n, stop, rng):
     st = ProcessState(n, 3)
     st.advance(rng, stop)
-    upper = _upper_codes(n)
+    upper = upper_codes(n)
     edges = np.flatnonzero(np.triu(st.status_matrix() == EDGE, 1))[:10]
     drawn = np.random.default_rng(n).choice(upper, size=min(50, st.npairs), replace=False)
     codes = np.unique(np.concatenate([drawn, edges, upper[[0, -1]]]))

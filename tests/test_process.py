@@ -1,6 +1,7 @@
 import collections
 import functools
 import itertools
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -8,6 +9,7 @@ import pytest
 
 from hfree.process import (
     BLOCK,
+    CHUNK,
     CLOSED,
     EDGE,
     K3,
@@ -21,9 +23,11 @@ from hfree.process import (
 from conftest import (
     adjacency_sets,
     build_graph,
+    drawn_codes,
     has_clique,
     is_closed_probe,
     open_pairs,
+    upper_codes,
 )
 
 
@@ -195,11 +199,11 @@ def _choose_chi2(st, rng, draws):
 def test_choose_uniform_over_open_pairs(rng):
     st = ProcessState(20, 3)
     st.advance(rng, 6)
-    # the open list still holds closed and edge entries, not yet compacted
-    assert st.open_count < len(st._open) <= 2 * st.open_count
+    # the open list is still every pair, not yet compacted
+    assert st._open is None and st.open_count < st.npairs <= 2 * st.open_count
     chi2, crit = _choose_chi2(st, rng, 20_000)
     assert chi2 < crit
-    while 2 * st.open_count >= len(st._open):
+    while 2 * st.open_count >= st.npairs:
         st.step(rng)
     st._pending = st._pending[:0]
     st.choose(rng)  # draws a block, so compacts first
@@ -207,6 +211,45 @@ def test_choose_uniform_over_open_pairs(rng):
     assert st._open.base is None  # the live codes own their buffer
     chi2, crit = _choose_chi2(st, rng, 20_000)
     assert chi2 < crit
+
+
+@pytest.mark.parametrize("rule,n", [(K3, 300), (K3, 700), (K4, 300)])
+def test_first_compaction_reads_the_open_codes_of_s(rule, n, rng):
+    # the chunks of CHUNK // n rows split the rows of S at these n
+    assert (n - 1) % (CHUNK // n)
+    st = ProcessState(n, rule)
+    # the list is compacted only by a block drawn once fewer than half of
+    # the pairs are open, so none of these steps compacts it
+    while 2 * st.open_count >= st.npairs:
+        st.step(rng)
+    assert st._open is None
+    upper = upper_codes(n)
+    want = upper[st.status_matrix().ravel()[upper] == OPEN]
+    st._pending = st._pending[:0]
+    st.choose(rng)  # draws a block, so compacts first
+    assert st._open.dtype == np.int32 and np.array_equal(st._open, want)
+
+
+@pytest.mark.parametrize("rule", [K3, K4])
+def test_init_allocates_s_and_the_row_buffer(rule):
+    tracemalloc.start()
+    try:
+        st = ProcessState(1000, rule)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= st.S.nbytes + st._rows.nbytes + 16 * 1024
+
+
+def test_edge_log_is_a_read_only_int32_view(rng):
+    st = ProcessState(40, K3)
+    st.advance(rng, 3)
+    assert st.edge_log.dtype == np.int32 and st.edge_log.shape == (3, 2)
+    with pytest.raises(ValueError):
+        st.edge_log[0, 0] = 0
+    st.advance(rng)  # past BLOCK steps, so the log has grown
+    assert st.steps > BLOCK and st.edge_log.shape == (st.steps, 2)
+    assert all(u < v and st.has_edge(u, v) for u, v in st.edge_log.tolist())
 
 
 def test_add_edge_rejects_non_open_pairs():
@@ -254,7 +297,7 @@ class RecordingRng:
 
     def integers(self, high, size=None):
         idx = self._gen.integers(high, size=size)
-        self.codes += np.atleast_1d(self.state._open[idx]).tolist()
+        self.codes += np.atleast_1d(drawn_codes(self.state, idx)).tolist()
         return idx
 
 
@@ -272,7 +315,7 @@ def _replay(n, rule, codes, steps):
 
 
 def _assert_same_run(st, ref):
-    assert st.edge_log == ref.edge_log
+    assert np.array_equal(st.edge_log, ref.edge_log)
     assert np.array_equal(st.status_matrix(), ref.status_matrix())
     assert st.open_count == ref.open_count == len(open_pairs(st))
 
@@ -304,7 +347,7 @@ def test_step_after_capped_advance_is_exact():
             if st.open_count:
                 carried += len(st._pending) > 0
                 out = st.step(rng)
-                assert out.edge == st.edge_log[-1]
+                assert list(out.edge) == st.edge_log[-1].tolist()
         assert carried
         _assert_same_run(st, _replay(n, rule, rng.codes, st.steps))
 
@@ -326,7 +369,7 @@ def test_k4_run_stops_at_pair_with_earlier_pair_inside_its_c():
     edges = [(0, 2), (0, 3), (1, 2), (1, 3)]
     st, ref = build_graph(8, K4, edges), build_graph(8, K4, edges)
     drawn = [(2, 3), (0, 1), (4, 5), (6, 7)]
-    idx = np.searchsorted(st._open, [u * 8 + v for u, v in drawn])
+    idx = np.searchsorted(upper_codes(8), [u * 8 + v for u, v in drawn])
     runs = []
     add = st._add
     st._add = lambda us, vs, C=None: runs.append(len(us)) or add(us, vs, C)
@@ -348,7 +391,7 @@ def test_k4_advance_is_steps():
         a.advance(ra)
         while b.open_count:
             b.step(rb)
-        assert a.edge_log == b.edge_log and np.array_equal(a.S, b.S)
+        assert np.array_equal(a.edge_log, b.edge_log) and np.array_equal(a.S, b.S)
 
 
 def test_first_pairs_through_advance_uniform():
@@ -367,7 +410,7 @@ def test_first_pairs_through_advance_uniform():
             else:
                 st.advance(rng, 1)
                 st.advance(rng, 1)
-            first, second = (pairs.index(e) for e in st.edge_log)
+            first, second = (pairs.index(tuple(e)) for e in st.edge_log.tolist())
             joint[first, second] += 1
         assert not joint.diagonal().any()
         chi2, crit = _uniform_chi2(joint.sum(axis=1))
@@ -454,7 +497,7 @@ def test_m_law_through_advance(n, rule, want, runs, crit, graphs):
     for _ in range(runs):
         st = ProcessState(n, rule)
         st.advance(rng)
-        finals[frozenset(st.edge_log)] += 1
+        finals[frozenset(map(tuple, st.edge_log.tolist()))] += 1
     seen = collections.Counter()
     for edges, count in finals.items():
         seen[len(edges)] += count
