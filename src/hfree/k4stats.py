@@ -5,7 +5,10 @@ edges inside A ∪ B and no closed pair inside A ∪ B; for a triple A the
 counts y_f tally vertices v with exactly f edges into A and no closed pair
 between v and A.  Each function counts a whole witness family from the
 status matrix S in one pass, at snapshot steps only; incremental
-maintenance of all of them would be O(n^4) state.
+maintenance of all of them would be O(n^4) state.  The pass gathers the
+rows of the members' vertices once, as the k x n `process.status_code` of
+their statuses, and a table maps each code to the vertex's class: its
+number of edges into A, or dropped if it has a closed pair into A.
 
 Only live members are counted, as the paper tracks X_{A,f} for open A only:
 the pairs still open and the triples that span no triangle.  Each function
@@ -16,12 +19,29 @@ from __future__ import annotations
 
 import numpy as np
 
-from .process import CLOSED, EDGE, OPEN
+from .process import EDGE, OPEN, code_counts, status_code
 
+
+def _edge_counts(m, dropped):
+    """For each `status_code` code of m statuses: how many are EDGE, or
+    dropped if one is CLOSED or NO_PAIR."""
+    digits = [[code >> 2 * i & 3 for i in range(m)] for code in range(4 ** m)]
+    return np.array([d.count(EDGE) if set(d) <= {OPEN, EDGE} else dropped for d in digits])
+
+
+# for the code 4 S[b] + S[a] of a vertex v and a pair A = (a, b): _GROUP[code]
+# is v's group, its number of edges into A, or 3 if v has a closed pair into
+# A (the NO_PAIR diagonal drops a and b); _ONE_HOT[:, code] is the group as a
+# one-hot float32 column, zero at 3
+_GROUP = _edge_counts(2, 3)
+_ONE_HOT = (np.arange(3)[:, None] == _GROUP).astype(np.float32)
+# for the code 16 S[c] + 4 S[b] + S[a] of a vertex v and a triple A: _F[code]
+# is f, v's number of edges into A, or 4 if v has a closed pair into A
+_F = _edge_counts(3, 4).astype(np.uint8)
 # _FOLD[(i, j), f] = [i + j == f] for the 3 x 3 blocks of group pairs (i, j),
 # flattened
 _FOLD = (np.add.outer(np.arange(3), np.arange(3)).reshape(9, 1)
-         == np.arange(5)).astype(np.int64)
+         == np.arange(5)).astype(np.float64)
 
 
 def k4_witness_counts(S: np.ndarray, pairs):
@@ -29,35 +49,38 @@ def k4_witness_counts(S: np.ndarray, pairs):
     live holds the rows that are open, x[j, f] counts the pairs B for live[j]
     by f.
 
-    A vertex with no closed pair into A is in group g, its number of edges
-    into A (the NO_PAIR diagonal drops a and b).  With G the n x 3k group
-    indicator, block j of G^T (S == OPEN) G counts the ordered open pairs
-    (c, d) between groups i and j, which land at f = i + j; block j of
-    G^T (S == EDGE) G counts the edges, one f higher."""
+    With G the n x 3k indicator of the groups of every pair (`_ONE_HOT`),
+    block j of G^T (S == OPEN) G counts the ordered open pairs (c, d)
+    between groups i and l, which land at f = i + l; block j of
+    G^T (S == EDGE) G counts the edges, one f higher.  The products with S
+    run in float32, exact as every entry is an integer of at most n; the
+    3 x 3 blocks sum up to n^2 of them, past float32's exact integers for
+    n > 4096, so a float64 bincount over each vertex's group sums them."""
     n = len(S)
     if n < 4:
         raise ValueError("need n >= 4")
     pairs = np.asarray(pairs, dtype=np.intp).reshape(-1, 2)
     pairs = pairs[S[pairs[:, 0], pairs[:, 1]] == OPEN]
     k = len(pairs)
-    rows = S[pairs]  # k x 2 x n
-    ok = (rows < CLOSED).all(axis=1)
-    g = (rows == EDGE).sum(axis=1)
-    groups = (g[:, :, None] == np.arange(3)) & ok[:, :, None]  # k x n x 3
-    G = groups.transpose(1, 0, 2).reshape(n, 3 * k).astype(np.float32)
-    # float32 products are exact: every entry is an integer of at most n
+    _, code = status_code(S, pairs.T)
+    GT = np.take(_ONE_HOT, code, axis=1).reshape(3 * k, n)
+    # bin 4j + g: the vertices of group g of pair j, 4j + 3 those dropped
+    bins = (np.take(_GROUP, code) + 4 * np.arange(k)[:, None]).ravel()
+    m = np.empty((n, n), dtype=np.float32)
+    mg = np.empty((3 * k, n), dtype=np.float32)
     blocks = []
-    for m in (S == OPEN, S == EDGE):
-        mg = (m.astype(np.float32) @ G).reshape(n, k, 3).astype(np.int64)
-        # block entries reach n^2, past float32's exact integers for n > 4096
-        block = np.einsum("jvi,vjl->jil", groups, mg, optimize=True)
-        blocks.append(block.reshape(k, 9) @ _FOLD)
+    for status in (OPEN, EDGE):
+        # S is symmetric: row (l, j) of G^T m is column (j, l) of m G
+        np.matmul(GT, np.equal(S, status, out=m), out=mg)
+        block = np.stack([np.bincount(bins, weights=mg[l * k:(l + 1) * k].ravel(),
+                                      minlength=4 * k) for l in range(3)], axis=1)
+        blocks.append(block.reshape(k, 4, 3)[:, :3].reshape(k, 9) @ _FOLD)
     x, edges = blocks
-    # an edge B lands one f higher; at i = j = 2 it would close A, so the
+    # an edge B lands one f higher; at i = l = 2 it would close A, so the
     # f = 5 it drops is zero
     x[:, 1:] += edges[:, :4]
     # every unordered B was counted as (c, d) and as (d, c)
-    return pairs, x // 2
+    return pairs, x.astype(np.int64) // 2
 
 
 def k4_triple_counts(S: np.ndarray, triples):
@@ -67,9 +90,7 @@ def k4_triple_counts(S: np.ndarray, triples):
     triples = np.asarray(triples, dtype=np.intp).reshape(-1, 3)
     a, b, c = triples.T
     triples = triples[(S[a, b] != EDGE) | (S[a, c] != EDGE) | (S[b, c] != EDGE)]
-    rows = S[triples]  # k x 3 x n
-    # the NO_PAIR diagonal drops the vertices of A itself
-    ok = (rows < CLOSED).all(axis=1)
-    f = (rows == EDGE).sum(axis=1)
-    y = ((f[:, :, None] == np.arange(4)) & ok[:, :, None]).sum(axis=1, dtype=np.int64)
-    return triples, y
+    k = len(triples)
+    rows, code = status_code(S, triples.T)
+    f = np.take(_F, code, out=rows[:k], mode="clip")
+    return triples, code_counts(f, range(4), rows[k:2 * k].view(bool)).astype(np.int64)

@@ -8,8 +8,9 @@ and *complete* if both are edges.  The counts |X_{u,v}|, |Y_{u,v}|,
 - `oracle_counts_matrix`: every pair at once, as matrix products of the
   status matrix.  The harness's full mode recounts every non-edge pair this
   way at each snapshot.
-- `sampled_counts`: a fixed witness family, from two rows of the status
-  matrix per pair (the harness's sampled mode).
+- `sampled_counts`: a fixed witness family, from the one k x n code of
+  both ends' statuses that `process.status_code` gathers (the harness's
+  sampled mode); each count is a row count of one or two code values.
 - `PairLedger`: n x n count matrices maintained step by step, with the exact
   conditional-expectation identities of the one-step changes as rationals.
   It is the audit of those identities and of the recounts above (acceptance
@@ -27,7 +28,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .process import CLOSED, EDGE, OPEN, ProcessState
+from .process import CLOSED, EDGE, OPEN, ProcessState, code_counts, status_code
 
 # the two values of the harness's ledger_mode; a PairLedger is always full
 FULL = "full"
@@ -137,17 +138,13 @@ def oracle_counts_matrix(state: ProcessState):
 
 def sampled_counts(state: ProcessState, codes):
     """Recompute (x, y, z) for the pairs with the given codes u*n+v from the
-    two rows of the status matrix each names."""
-    s = state.status_matrix()
+    `status_code` 4 S[v] + S[u] of each: a vertex is open at code 0, partial
+    at 1 and 4 and complete at 5."""
     us, vs = np.divmod(np.asarray(codes), state.n)
-    su = s[us]
-    sv = s[vs]
-    uo = su == OPEN
-    ue = su == EDGE
-    vo = sv == OPEN
-    ve = sv == EDGE
-    return tuple(np.count_nonzero(m, axis=1).astype(np.int32)
-                 for m in (uo & vo, (uo & ve) | (ue & vo), ue & ve))
+    rows, code = status_code(state.status_matrix(), (us, vs))
+    c = code_counts(code, (4 * OPEN + OPEN, 4 * OPEN + EDGE, 4 * EDGE + OPEN, 4 * EDGE + EDGE),
+                    rows[:len(us)].view(bool)).astype(np.int32)
+    return c[:, 0], c[:, 1] + c[:, 2], c[:, 3]
 
 
 # --------------------------------------------- exact conditional expectations

@@ -82,6 +82,37 @@ def pair_codes(n: int, ids) -> np.ndarray:
     return us * n + ids - starts[us] + us + 1
 
 
+def status_code(S, ends, out=None) -> tuple[np.ndarray, np.ndarray]:
+    """(rows, code) for k members whose i-th vertices are ends[i]: the rows
+    S[ends[0]], S[ends[1]], ... gathered into out (new if None), and code,
+    a view of the last k of them turned into the k x n uint8
+    code[j] = S[ends[0][j]] + 4 S[ends[1][j]] + 16 S[ends[2][j]] + ...,
+    which codes the statuses of every end at once (each is below 4).  The
+    rows before code are free, e.g. for a bool mask.  "clip" (the ends are
+    in range) spares the copy that "raise" makes."""
+    idx = np.concatenate(ends)
+    m = len(idx)
+    rows = np.take(S, idx, axis=0, out=out if out is None else out[:m], mode="clip")
+    k = m // len(ends)
+    code = rows[m - k:]
+    while m > k:
+        m -= k
+        code *= 4
+        code += rows[m - k:m]
+    return rows, code
+
+
+def code_counts(code, values, mask) -> np.ndarray:
+    """k x len(values) uint16: the entries of each row of code equal to each
+    value, counted through mask, a free bool array of code's shape.  Exact,
+    as a row holds n <= N_MAX < 2^16 entries."""
+    counts = np.empty((len(code), len(values)), dtype=np.uint16)
+    for c, value in enumerate(values):
+        np.equal(code, value, out=mask)
+        mask.view(np.uint8).sum(axis=1, dtype=np.uint16, out=counts[:, c])
+    return counts
+
+
 def _spans(starts, counts) -> np.ndarray:
     """starts[i], starts[i] + 1, ..., starts[i] + counts[i] - 1 for each i,
     concatenated."""
@@ -249,26 +280,13 @@ class ProcessState:
             repeats = int(np.count_nonzero(both & both.T)) // 2
         return ends[side], w, repeats
 
-    def _end_rows(self, xs, ys) -> tuple[np.ndarray, np.ndarray]:
-        """(mask, both): the 2k rows of the kept buffer as bool, free for a
-        mask, and its last k rows both[j] = 4 S[ys[j]] + S[xs[j]], which
-        codes both ends' statuses at once (each is below 4).  The buffer
-        spares the page faults of new rows each pass; "clip" (the ends are
-        in range) spares the copy that "raise" makes."""
-        k = len(xs)
-        rows = np.take(self.S, np.concatenate([xs, ys]), axis=0, out=self._rows[:2 * k],
-                       mode="clip")
-        both = rows[k:]
-        both *= 4
-        both += rows[:k]
-        return rows.view(bool), both
-
     def _open_to_edge(self, xs, ys) -> np.ndarray:
         """2k x n bool mask, a view of the kept buffer: row j < k marks the
         w with {xs[j], w} open and {ys[j], w} an edge, row k + j the same with
-        xs[j] and ys[j] swapped."""
-        mask, both = self._end_rows(xs, ys)
-        k = len(xs)
+        xs[j] and ys[j] swapped.  The kept buffer spares the page faults of
+        new rows each pass."""
+        rows, both = status_code(self.S, (xs, ys), self._rows)
+        mask, k = rows.view(bool), len(xs)
         np.equal(both, 4 * EDGE + OPEN, out=mask[:k])
         np.equal(both, 4 * OPEN + EDGE, out=mask[k:])
         return mask
@@ -276,8 +294,8 @@ class ProcessState:
     def _common(self, us, vs) -> np.ndarray:
         """k x n bool rows C[j] = N(us[j]) ∩ N(vs[j]), a view of the kept
         buffer."""
-        mask, both = self._end_rows(us, vs)
-        return np.equal(both, 4 * EDGE + EDGE, out=mask[:len(us)])
+        rows, both = status_code(self.S, (us, vs), self._rows)
+        return np.equal(both, 4 * EDGE + EDGE, out=rows[:len(us)].view(bool))
 
     def _k4_closed(self, us, vs, C) -> tuple[np.ndarray, np.ndarray, int]:
         """The open pairs of the K4-minus-a-pair witnesses of the new edges

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from hfree.k4stats import k4_triple_counts, k4_witness_counts
-from hfree.process import CLOSED, EDGE, OPEN, ProcessState
+from hfree.process import CLOSED, EDGE, NO_PAIR, OPEN, ProcessState
 from conftest import build_graph, k4_triple_counts_one, k4_witness_counts_pair
 
 
@@ -178,3 +178,41 @@ def test_counts_match_per_pair_oracle(n):
             break
         st.advance(rng, stride)
     assert snapshots > 50 and seen_dropped
+
+
+def test_counts_past_a_byte():
+    # early in a run at n = 300, x_0 and y_0 pass 255, what a uint8 row sum
+    # holds; the counts stay int64 and equal one reference pass per member
+    rng = np.random.default_rng(300)
+    pairs = np.sort([rng.choice(300, size=2, replace=False) for _ in range(20)], axis=1)
+    triples = np.sort([rng.choice(300, size=3, replace=False) for _ in range(20)], axis=1)
+    st = ProcessState(300, 4)
+    for steps in (200, 1500):
+        st.advance(rng, steps - st.steps)
+        S = st.status_matrix()
+        live_pairs, x = k4_witness_counts(S, pairs)
+        live_triples, y = k4_triple_counts(S, triples)
+        assert x[:, 0].min() > 255 and y[:, 0].max() > 255 and (y[:, 1] > 0).any()
+        assert x.dtype == y.dtype == np.int64
+        for A, xj in zip(live_pairs, x):
+            assert xj.tolist() == k4_witness_counts_pair(S, A).tolist()
+        for A, yj in zip(live_triples, y):
+            assert yj.tolist() == k4_triple_counts_one(S, A).tolist()
+
+
+def test_witness_counts_exact_past_n_4096():
+    # at n = 4500 with few edges and closed pairs, the ordered open pairs
+    # between two group-0 vertices pass 2^24, float32's last exact integer
+    n = 4500
+    rng = np.random.default_rng(n)
+    S = np.full((n, n), OPEN, dtype=np.uint8)
+    for status, count in ((EDGE, n * n // 200), (CLOSED, n * n // 400)):
+        u, v = rng.integers(n, size=(2, count))
+        S[u, v] = S[v, u] = status
+    np.fill_diagonal(S, NO_PAIR)
+    pairs = np.sort(rng.integers(n, size=(6, 2)), axis=1)
+    pairs = pairs[S[pairs[:, 0], pairs[:, 1]] == OPEN][:3]
+    live, x = k4_witness_counts(S, pairs)
+    assert len(live) == 3 and (2 * x[:, 0] > 2 ** 24).all()
+    for A, xj in zip(live, x):
+        assert xj.tolist() == k4_witness_counts_pair(S, A).tolist()

@@ -6,6 +6,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parent.parent
 
 
@@ -23,3 +25,22 @@ def test_peak_rss_prints_one_json_line(tmp_path):
     assert out["config"] == str(cfg) and out["n_list"] == [30]
     assert out["peak_rss_mb"] > 0 and out["wall_s"] > 0
     assert [p.name for p in tmp_path.iterdir()] == ["k3.cfg"]  # its temp dir is gone
+
+
+@pytest.mark.parametrize("layer", ["k3-snapshot", "k4-snapshot", "k3-advance", "k4-advance"])
+def test_layer_ab_prints_one_json_line(layer):
+    src = str(ROOT / "src")
+    done = subprocess.run([sys.executable, str(ROOT / "tools" / "layer_ab.py"), "--src", src,
+                           "--src", src, "--runs", "2", "--n", "12", layer],
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    lines = done.stdout.splitlines()
+    assert len(lines) == 1
+    out = json.loads(lines[0])
+    assert out["layer"] == layer and out["runs"] == 2 and out["A"] == out["B"] == src
+    assert out["unit"] == ("us/step" if layer.endswith("advance") else "ms/call")
+    assert out["cases"] and all(case.startswith("n12-") for case in out["cases"])
+    for case in out["cases"].values():
+        for side in (case["A"], case["B"]):
+            assert set(side) == {"median", "q1", "q3", "min", "max"}
+            assert 0 <= side["min"] <= side["q1"] <= side["median"] <= side["q3"] <= side["max"]
