@@ -275,6 +275,24 @@ def _draw_vertex_sets(rng, n, size, count):
     return sets
 
 
+def _alpha(cfg, state, rng):
+    """(alpha, witness, alpha_exact, max degree) of the final graph; its n x n
+    adjacency is gone before `run_trial` copies the edge log."""
+    adj = state.status_matrix() == EDGE
+    deg = np.count_nonzero(adj, axis=1)
+    delta = int(deg.max())
+    greedy = analysis.independence_greedy(adj, rng, cfg.greedy_repeats)
+    alpha, witness = greedy.value, greedy.witness
+    if cfg.rule == K3 and delta > alpha:
+        # in a triangle-free graph every neighborhood is independent; take
+        # the lowest-numbered vertex of largest degree
+        alpha, witness = delta, np.flatnonzero(adj[deg.argmax()]).tolist()
+    alpha_exact = None
+    if state.n <= cfg.exact_alpha_cap:
+        alpha_exact = analysis.independence_exact(adj, cfg.exact_alpha_cap).value
+    return alpha, witness, alpha_exact, delta
+
+
 def run_trial(cfg: ExperimentConfig, n: int, trial: int, global_index: int,
               phases: dict | None = None):
     """One deterministic trial: (record, edge_log).  The record is a plain
@@ -322,18 +340,7 @@ def run_trial(cfg: ExperimentConfig, n: int, trial: int, global_index: int,
 
     completed = state.open_count == 0
     t0 = clock()
-    adj = state.status_matrix() == EDGE
-    deg = np.count_nonzero(adj, axis=1)
-    delta = int(deg.max())
-    greedy = analysis.independence_greedy(adj, alpha_rng, cfg.greedy_repeats)
-    alpha, witness = greedy.value, greedy.witness
-    if rule == K3 and delta > alpha:
-        # in a triangle-free graph every neighborhood is independent; take
-        # the lowest-numbered vertex of largest degree
-        alpha, witness = delta, np.flatnonzero(adj[deg.argmax()]).tolist()
-    alpha_exact = None
-    if n <= cfg.exact_alpha_cap:
-        alpha_exact = analysis.independence_exact(adj, cfg.exact_alpha_cap).value
+    alpha, witness, alpha_exact, delta = _alpha(cfg, state, alpha_rng)
     spent["alpha_s"] += clock() - t0
     if phases is not None:
         phases.update(spent, steps=state.steps)

@@ -5,10 +5,9 @@ edges inside A ∪ B and no closed pair inside A ∪ B; for a triple A the
 counts y_f tally vertices v with exactly f edges into A and no closed pair
 between v and A.  Each function counts a whole witness family from the
 status matrix S in one pass, at snapshot steps only; incremental
-maintenance of all of them would be O(n^4) state.  The pass gathers the
-rows of the members' vertices once, as the k x n `process.status_code` of
-their statuses, and a table maps each code to the vertex's class: its
-number of edges into A, or dropped if it has a closed pair into A.
+maintenance of all of them would be O(n^4) state.  Both sort the vertices
+by the class rule that `process.EDGES_INTO` owns: y is `process.edge_counts`
+of the triples, and x counts the pairs B between the classes of A.
 
 Only live members are counted, as the paper tracks X_{A,f} for open A only:
 the pairs still open and the triples that span no triangle.  Each function
@@ -19,25 +18,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from .process import EDGE, OPEN, code_counts, status_code
+from .process import EDGE, EDGES_INTO, OPEN, edge_counts, status_code
 
-
-def _edge_counts(m, dropped):
-    """For each `status_code` code of m statuses: how many are EDGE, or
-    dropped if one is CLOSED or NO_PAIR."""
-    digits = [[code >> 2 * i & 3 for i in range(m)] for code in range(4 ** m)]
-    return np.array([d.count(EDGE) if set(d) <= {OPEN, EDGE} else dropped for d in digits])
-
-
-# for the code 4 S[b] + S[a] of a vertex v and a pair A = (a, b): _GROUP[code]
-# is v's group, its number of edges into A, or 3 if v has a closed pair into
-# A (the NO_PAIR diagonal drops a and b); _ONE_HOT[:, code] is the group as a
-# one-hot float32 column, zero at 3
-_GROUP = _edge_counts(2, 3)
-_ONE_HOT = (np.arange(3)[:, None] == _GROUP).astype(np.float32)
-# for the code 16 S[c] + 4 S[b] + S[a] of a vertex v and a triple A: _F[code]
-# is f, v's number of edges into A, or 4 if v has a closed pair into A
-_F = _edge_counts(3, 4).astype(np.uint8)
+# for the code 4 S[b] + S[a] of a vertex and a pair A = (a, b): its group
+# EDGES_INTO[2][code] as a one-hot float32 column, zero at the dropped group 3
+_ONE_HOT = (np.arange(3)[:, None] == EDGES_INTO[2]).astype(np.float32)
 # _FOLD[(i, j), f] = [i + j == f] for the 3 x 3 blocks of group pairs (i, j),
 # flattened
 _FOLD = (np.add.outer(np.arange(3), np.arange(3)).reshape(9, 1)
@@ -65,7 +50,7 @@ def k4_witness_counts(S: np.ndarray, pairs):
     _, code = status_code(S, pairs.T)
     GT = np.take(_ONE_HOT, code, axis=1).reshape(3 * k, n)
     # bin 4j + g: the vertices of group g of pair j, 4j + 3 those dropped
-    bins = (np.take(_GROUP, code) + 4 * np.arange(k)[:, None]).ravel()
+    bins = (np.take(EDGES_INTO[2], code) + 4 * np.arange(k)[:, None]).ravel()
     m = np.empty((n, n), dtype=np.float32)
     mg = np.empty((3 * k, n), dtype=np.float32)
     blocks = []
@@ -90,7 +75,4 @@ def k4_triple_counts(S: np.ndarray, triples):
     triples = np.asarray(triples, dtype=np.intp).reshape(-1, 3)
     a, b, c = triples.T
     triples = triples[(S[a, b] != EDGE) | (S[a, c] != EDGE) | (S[b, c] != EDGE)]
-    k = len(triples)
-    rows, code = status_code(S, triples.T)
-    f = np.take(_F, code, out=rows[:k], mode="clip")
-    return triples, code_counts(f, range(4), rows[k:2 * k].view(bool)).astype(np.int64)
+    return triples, edge_counts(S, triples.T).astype(np.int64)

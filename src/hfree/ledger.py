@@ -8,9 +8,8 @@ and *complete* if both are edges.  The counts |X_{u,v}|, |Y_{u,v}|,
 - `oracle_counts_matrix`: every pair at once, as matrix products of the
   status matrix.  The harness's full mode recounts every non-edge pair this
   way at each snapshot.
-- `sampled_counts`: a fixed witness family, from the one k x n code of
-  both ends' statuses that `process.status_code` gathers (the harness's
-  sampled mode); each count is a row count of one or two code values.
+- `sampled_counts`: a fixed witness family (the harness's sampled mode),
+  as the classes 0, 1 and 2 of `process.edge_counts`, which owns the rule.
 - `PairLedger`: n x n count matrices maintained step by step, with the exact
   conditional-expectation identities of the one-step changes as rationals.
   It is the audit of those identities and of the recounts above (acceptance
@@ -28,21 +27,15 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .process import CLOSED, EDGE, OPEN, ProcessState, code_counts, status_code
+from .process import CLOSED, EDGE, EDGES_INTO, OPEN, ProcessState, edge_counts
 
 # the two values of the harness's ledger_mode; a PairLedger is always full
 FULL = "full"
 SAMPLED = "sampled"
 
-# classes used internally
-_X, _Y, _Z = 0, 1, 2
-
 # _CLASS[s1, s2]: one-hot (x, y, z) class of a vertex whose pairs to the two
-# ends of a pair have statuses s1 and s2; all zero for CLOSED and NO_PAIR
-_CLASS = np.zeros((4, 4, 3), dtype=np.int32)
-_CLASS[OPEN, OPEN, _X] = 1
-_CLASS[OPEN, EDGE, _Y] = _CLASS[EDGE, OPEN, _Y] = 1
-_CLASS[EDGE, EDGE, _Z] = 1
+# ends of a pair have statuses s1 and s2 (EDGES_INTO[2] at 4 s2 + s1 = 4 s1 + s2)
+_CLASS = (EDGES_INTO[2].reshape(4, 4, 1) == np.arange(3)).astype(np.int32)
 # _MOVE[s_new][:, s2]: change of that class when s1 goes from OPEN to s_new
 _MOVE = (_CLASS - _CLASS[OPEN]).transpose(0, 2, 1)
 # 1 where a pair's counts still move: OPEN or CLOSED, not EDGE or NO_PAIR
@@ -137,14 +130,11 @@ def oracle_counts_matrix(state: ProcessState):
 
 
 def sampled_counts(state: ProcessState, codes):
-    """Recompute (x, y, z) for the pairs with the given codes u*n+v from the
-    `status_code` 4 S[v] + S[u] of each: a vertex is open at code 0, partial
-    at 1 and 4 and complete at 5."""
+    """Recompute (x, y, z) for the pairs with the given codes u*n+v: the
+    `process.edge_counts` classes 0, 1 and 2 of each pair (u, v)."""
     us, vs = np.divmod(np.asarray(codes), state.n)
-    rows, code = status_code(state.status_matrix(), (us, vs))
-    c = code_counts(code, (4 * OPEN + OPEN, 4 * OPEN + EDGE, 4 * EDGE + OPEN, 4 * EDGE + EDGE),
-                    rows[:len(us)].view(bool)).astype(np.int32)
-    return c[:, 0], c[:, 1] + c[:, 2], c[:, 3]
+    c = edge_counts(state.status_matrix(), (us, vs)).astype(np.int32)
+    return c[:, 0], c[:, 1], c[:, 2]
 
 
 # --------------------------------------------- exact conditional expectations

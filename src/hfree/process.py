@@ -102,15 +102,32 @@ def status_code(S, ends, out=None) -> tuple[np.ndarray, np.ndarray]:
     return rows, code
 
 
-def code_counts(code, values, mask) -> np.ndarray:
-    """k x len(values) uint16: the entries of each row of code equal to each
-    value, counted through mask, a free bool array of code's shape.  Exact,
-    as a row holds n <= N_MAX < 2^16 entries."""
-    counts = np.empty((len(code), len(values)), dtype=np.uint16)
-    for c, value in enumerate(values):
-        np.equal(code, value, out=mask)
-        mask.view(np.uint8).sum(axis=1, dtype=np.uint16, out=counts[:, c])
-    return counts
+# EDGES_INTO[m][code], the class rule of every snapshot count: a vertex whose
+# m statuses to a member have `status_code` code is in class f, its number of
+# EDGE statuses, or dropped in class m + 1 if one is CLOSED or NO_PAIR
+EDGES_INTO = {m: np.array([d.count(EDGE) if set(d) <= {OPEN, EDGE} else m + 1 for d in
+                           ([code >> 2 * i & 3 for i in range(m)] for code in range(4 ** m))])
+              for m in (2, 3)}
+# for each m: the live codes (no CLOSED or NO_PAIR status) and their classes,
+# as Python ints, as an np.int64 code would widen the uint8 compare
+_LIVE_CODES = {m: [(c, int(f)) for c, f in enumerate(into) if f <= m]
+               for m, into in EDGES_INTO.items()}
+
+
+def edge_counts(S, ends) -> np.ndarray:
+    """k x (m + 1) uint16 for k members of m vertices whose i-th vertices are
+    ends[i]: entry [j, f] counts the vertices of EDGES_INTO class f for member
+    j.  Each member's row counts of its 2^m live codes are added up by class;
+    exact, as a row holds n <= N_MAX < 2^16 entries."""
+    m = len(ends)
+    rows, code = status_code(S, ends)
+    mask = rows[:len(code)].view(bool)
+    counts = np.zeros((m + 1, len(code)), dtype=np.uint16)
+    row = np.empty(len(code), dtype=np.uint16)
+    for c, f in _LIVE_CODES[m]:
+        np.equal(code, c, out=mask)
+        counts[f] += mask.view(np.uint8).sum(axis=1, dtype=np.uint16, out=row)
+    return counts.T
 
 
 def _spans(starts, counts) -> np.ndarray:

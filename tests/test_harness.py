@@ -246,6 +246,25 @@ def test_run_trial_k4_record():
     json.dumps(rec)
 
 
+@pytest.mark.parametrize("rule, n, family", [
+    ("K3", 80, dict(ledger_mode="sampled", witness_pairs=0)),
+    ("K4", 30, dict(k4_witness_pairs=0, k4_witness_triples=0)),
+])
+def test_run_trial_with_empty_witness_families(rule, n, family):
+    # every snapshot counts a family of k = 0 members
+    cfg = ExperimentConfig(process=rule, n_list=(n,), base_seed=4, stop="t:0.3", **family)
+    rec, _ = run_trial(cfg, n, 0, 0)
+    assert rec["steps"] == resolve_stop(cfg, n) and len(rec["snapshots"]) > 1
+    for snap in rec["snapshots"]:
+        if rule == "K3":
+            assert snap["x_mean"] == snap["y_mean"] == 0.0
+            assert snap["x_max"] == snap["y_max"] == snap["z_max"] == 0
+        else:
+            assert snap["x_mean"] == [0.0] * 5 and snap["y_mean"] == [0.0] * 4
+            assert snap["y3_max"] == 0
+            assert snap["witness_pairs"] == snap["witness_triples"] == 0
+
+
 def test_snapshot_preds_are_the_bad_event_centers():
     # a forced violation of each variable carries the center the scan used;
     # the record's *_pred entries must be those same floats

@@ -27,7 +27,8 @@ def test_peak_rss_prints_one_json_line(tmp_path):
     assert [p.name for p in tmp_path.iterdir()] == ["k3.cfg"]  # its temp dir is gone
 
 
-@pytest.mark.parametrize("layer", ["k3-snapshot", "k4-snapshot", "k3-advance", "k4-advance"])
+@pytest.mark.parametrize("layer", ["k3-snapshot", "k4-snapshot", "k3-advance", "k4-advance",
+                                   "greedy-alpha", "exact-alpha"])
 def test_layer_ab_prints_one_json_line(layer):
     src = str(ROOT / "src")
     done = subprocess.run([sys.executable, str(ROOT / "tools" / "layer_ab.py"), "--src", src,

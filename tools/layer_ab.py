@@ -18,9 +18,15 @@ ratio of B's median to A's.  Layers:
                  1.0 (ms per call, median of 5 calls)
     k3-advance   ProcessState.advance to the end at n = 2000 (us per step)
     k4-advance   ProcessState.advance to the end at n = 800 (us per step)
+    greedy-alpha analysis.independence_greedy, 32 repeats, on the final K3
+                 graph at n = 2000 (ms per call, median of 5 calls)
+    exact-alpha  analysis.independence_exact on the final K3 graph at n = 60
+                 (ms per call, median of 5 calls)
 
-t is steps over n^{3/2} (K3) or n^{8/5} (K4); a run that ends earlier is
-measured at its end.  --n replaces every case's n (a smoke test at tiny n).
+t is steps over `trajectory.time_scale` (n^{3/2} for K3, n^{8/5} for K4);
+a run that ends earlier is measured at its end.  The K4 families are drawn
+by the harness's own `_draw_vertex_sets`.  --n replaces every case's n (a
+smoke test at tiny n).
 Standard library only; the interpreters import numpy.
 """
 
@@ -37,39 +43,43 @@ CASES = {
     "k4-snapshot": [(400, 0.25), (3200, 0.25), (3200, 1.0)],
     "k3-advance": [(2000, None)],
     "k4-advance": [(800, None)],
+    "greedy-alpha": [(2000, None)],
+    "exact-alpha": [(60, None)],
 }
 CALLS = 5  # snapshot calls per case and run; their median is the run's value
-
-
-def _sets(rng, n, size, count):
-    """count sorted vertex sets of the given size, as the harness draws them."""
-    import numpy as np
-
-    sets = np.array([rng.choice(n, size=size, replace=False) for _ in range(count)])
-    sets.sort(axis=1)
-    return sets
 
 
 def measure(layer, n_override):
     """{case: value} for one side, in this interpreter (its hfree on sys.path)."""
     import numpy as np
-    from hfree import k4stats, ledger
+    from hfree import analysis, harness, k4stats, ledger, trajectory
     from hfree.process import EDGE, K3, K4, ProcessState, pair_codes
 
-    rule = K3 if layer.startswith("k3") else K4
+    rule = K4 if layer.startswith("k4") else K3
     out = {}
     for n, t in dict.fromkeys((n_override or n, t) for n, t in CASES[layer]):
         state = ProcessState(n, rule)
         rng = np.random.default_rng(1)
-        if t is None:
+        case = "n%d-end" % n if t is None else "n%d-t%g" % (n, t)
+        if layer.endswith("advance"):
             c0 = time.process_time()
             steps = state.advance(rng)
-            out["n%d-end" % n] = (time.process_time() - c0) / steps * 1e6
+            out[case] = (time.process_time() - c0) / steps * 1e6
             continue
-        state.advance(rng, round(t * n ** (1.5 if rule == K3 else 1.6)))
+        state.advance(rng, None if t is None else round(t * trajectory.time_scale(rule, n)))
         family_rng = np.random.default_rng(2)
         S = state.status_matrix()
-        if rule == K3:
+        if layer == "greedy-alpha":
+            adj = S == EDGE
+
+            def call():
+                analysis.independence_greedy(adj, np.random.default_rng(2), 32)
+        elif layer == "exact-alpha":
+            adj = S == EDGE
+
+            def call():
+                analysis.independence_exact(adj)
+        elif rule == K3:
             k = min(200, state.npairs)
             codes = pair_codes(n, np.sort(family_rng.choice(state.npairs, size=k, replace=False)))
             codes = codes[S.ravel()[codes] != EDGE]
@@ -77,7 +87,8 @@ def measure(layer, n_override):
             def call():
                 ledger.sampled_counts(state, codes)
         else:
-            pairs, triples = _sets(family_rng, n, 2, 50), _sets(family_rng, n, 3, 50)
+            pairs = harness._draw_vertex_sets(family_rng, n, 2, 50)
+            triples = harness._draw_vertex_sets(family_rng, n, 3, 50)
 
             def call():
                 k4stats.k4_witness_counts(S, pairs)
@@ -88,7 +99,7 @@ def measure(layer, n_override):
             c0 = time.process_time()
             call()
             times.append(time.process_time() - c0)
-        out["n%d-t%g" % (n, t)] = statistics.median(times) * 1e3
+        out[case] = statistics.median(times) * 1e3
     return out
 
 
