@@ -65,8 +65,7 @@ def graph6_line(n: int, edges) -> str:
     return (head + body.tobytes()).decode("ascii")
 
 
-def write_graph6(path, graphs):
-    """graphs: iterable of (n, edges)."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for n, edges in graphs:
-            fh.write(graph6_line(n, edges) + "\n")
+def write_graph6(fh, n: int, edges):
+    """The graph6 line of the graph, newline-terminated, to the open text
+    file fh."""
+    fh.write(graph6_line(n, edges) + "\n")

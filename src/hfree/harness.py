@@ -275,6 +275,12 @@ def _draw_vertex_sets(rng, n, size, count):
     return sets
 
 
+def _draw_pair_codes(rng, n, count):
+    """Sorted codes of min(count, C(n,2)) pairs drawn without replacement."""
+    npairs = n * (n - 1) // 2
+    return pair_codes(n, np.sort(rng.choice(npairs, size=min(count, npairs), replace=False)))
+
+
 def _alpha(cfg, state, rng):
     """(alpha, witness, alpha_exact, max degree) of the final graph; its n x n
     adjacency is gone before `run_trial` copies the edge log."""
@@ -315,9 +321,7 @@ def run_trial(cfg: ExperimentConfig, n: int, trial: int, global_index: int,
         family = (_draw_vertex_sets(witness_rng, n, 2, cfg.k4_witness_pairs),
                   _draw_vertex_sets(witness_rng, n, 3, cfg.k4_witness_triples))
     elif resolve_ledger_mode(cfg, n) == ledger_mod.SAMPLED:
-        k = min(cfg.witness_pairs, state.npairs)
-        family = (pair_codes(n, np.sort(witness_rng.choice(state.npairs, size=k,
-                                                           replace=False))), False)
+        family = (_draw_pair_codes(witness_rng, n, cfg.witness_pairs), False)
     else:
         family = (pair_codes(n, np.arange(state.npairs)), True)
     take = _k3_snapshot if rule == K3 else _k4_snapshot
@@ -401,7 +405,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None, edge_logs=False):
         if g6_fh is not None:
             graphio.write_edge_log(os.path.join(logs_dir, rec["run_id"] + ".edges"),
                                    rec["n"], cfg.rule, rec["seed"], edge_log)
-            g6_fh.write(graphio.graph6_line(rec["n"], edge_log) + "\n")
+            graphio.write_graph6(g6_fh, rec["n"], edge_log)
             g6_fh.flush()
 
     try:

@@ -114,6 +114,15 @@ _LIVE_CODES = {m: [(c, int(f)) for c, f in enumerate(into) if f <= m]
                for m, into in EDGES_INTO.items()}
 
 
+# for each code of a triple's ends (u, v, c): the digit of its one OPEN
+# status if it is of class 2 under EDGES_INTO[3] (edges to two ends, an open
+# pair to the third), else -1.  A vertex w with a class-2 code closes {the
+# end at that digit, w}; _CLOSING lists the class-2 codes
+_OPEN_DIGIT = np.array([[code >> 2 * i & 3 for i in range(3)].index(OPEN) if f == 2 else -1
+                        for code, f in enumerate(EDGES_INTO[3])])
+_CLOSING = np.flatnonzero(_OPEN_DIGIT >= 0).tolist()
+
+
 def edge_counts(S, ends) -> np.ndarray:
     """k x (m + 1) uint16 for k members of m vertices whose i-th vertices are
     ends[i]: entry [j, f] counts the vertices of EDGES_INTO class f for member
@@ -128,13 +137,6 @@ def edge_counts(S, ends) -> np.ndarray:
         np.equal(code, c, out=mask)
         counts[f] += mask.view(np.uint8).sum(axis=1, dtype=np.uint16, out=row)
     return counts.T
-
-
-def _spans(starts, counts) -> np.ndarray:
-    """starts[i], starts[i] + 1, ..., starts[i] + counts[i] - 1 for each i,
-    concatenated."""
-    stops = counts.cumsum()
-    return np.arange(stops[-1] if len(stops) else 0) + (starts + counts - stops).repeat(counts)
 
 
 class StepOutcome(NamedTuple):
@@ -281,12 +283,17 @@ class ProcessState:
 
     def _k3_closed(self, us, vs) -> tuple[np.ndarray, np.ndarray, int]:
         """(a, w, repeats): the pairs {u_i, w} with w ~ v_i and {v_i, w} with
-        w ~ u_i, read from the 2k rows of the ends once the edges are in; a
-        pair closed from both of its ends (k > 1) is listed twice, and
-        repeats counts those."""
+        w ~ u_i, read from the 2k rows of the ends, gathered into the kept
+        buffer once the edges are in; a pair closed from both of its ends
+        (k > 1) is listed twice, and repeats counts those."""
         n, k = self.n, len(us)
         ends = np.concatenate([us, vs])
-        mask = self._open_to_edge(us, vs)
+        rows, both = status_code(self.S, (us, vs), self._rows)
+        # row j < k marks the w with {u_j, w} open and {v_j, w} an edge, row
+        # k + j the same with u_j and v_j swapped
+        mask = rows.view(bool)
+        np.equal(both, 4 * EDGE + OPEN, out=mask[:k])
+        np.equal(both, 4 * OPEN + EDGE, out=mask[k:])
         # a 1-D nonzero of the flat mask lists the pairs in the row-major
         # order of a 2-D nonzero at under half its cost at n=2000
         side, w = np.divmod(mask.ravel().nonzero()[0], n)
@@ -297,17 +304,6 @@ class ProcessState:
             repeats = int(np.count_nonzero(both & both.T)) // 2
         return ends[side], w, repeats
 
-    def _open_to_edge(self, xs, ys) -> np.ndarray:
-        """2k x n bool mask, a view of the kept buffer: row j < k marks the
-        w with {xs[j], w} open and {ys[j], w} an edge, row k + j the same with
-        xs[j] and ys[j] swapped.  The kept buffer spares the page faults of
-        new rows each pass."""
-        rows, both = status_code(self.S, (xs, ys), self._rows)
-        mask, k = rows.view(bool), len(xs)
-        np.equal(both, 4 * EDGE + OPEN, out=mask[:k])
-        np.equal(both, 4 * OPEN + EDGE, out=mask[k:])
-        return mask
-
     def _common(self, us, vs) -> np.ndarray:
         """k x n bool rows C[j] = N(us[j]) ∩ N(vs[j]), a view of the kept
         buffer."""
@@ -315,46 +311,38 @@ class ProcessState:
         return np.equal(both, 4 * EDGE + EDGE, out=rows[:len(us)].view(bool))
 
     def _k4_closed(self, us, vs, C) -> tuple[np.ndarray, np.ndarray, int]:
-        """The open pairs of the K4-minus-a-pair witnesses of the new edges
-        {us[j], vs[j]}, read once they are in: the pairs inside C[j], and
-        {u_j, w} with w ~ v_j and w adjacent to a vertex of C[j] (and the
-        mirror case {v_j, w}), each once.  An edge with C[j] empty closes
-        nothing.  C is read here if not given: the new edges leave it as is.
-        C is read first, as the kept buffer that may hold it is reused."""
-        n, S, k = self.n, self.S, len(us)
+        """The pairs the new edges {us[j], vs[j]} close, each once and in code
+        order, read once they are in.  For each new triangle {u_j, v_j, c},
+        c in C[j], a vertex w of class 2 under `EDGES_INTO[3]` (edges to two
+        of its vertices, an open pair to the third) closes that open pair:
+        these are the open pairs of the K4-minus-a-pair witnesses of the new
+        edges.  C is read here if not given (the new edges leave it as is),
+        and read before the kept buffer, which may hold it, takes one status
+        code per entry (j, c) of C.  If the 3 nnz(C) rows do not fit, the
+        buffer doubles past them, as the edge log does: a new buffer at each
+        new largest C would fault in all its pages each time."""
+        n = self.n
         if C is None:
             C = self._common(us, vs)
-        # C as entries (j, c[e]) in row-major order; row j holds the
-        # entries stop[j] - size[j] .. stop[j] - 1
         cj, c = np.divmod(C.ravel().nonzero()[0], n)
-        if not len(c):
-            return c, c, 0
-        size = np.bincount(cj, minlength=k)
-        stop = size.cumsum()
-        # the pairs inside C[j]: each entry with the later ones of its row
-        later = stop[cj] - np.arange(len(c)) - 1
-        a = c[np.arange(len(c)).repeat(later)]
-        b = c[_spans(np.arange(1, len(c) + 1), later)]
-        keep = S[a, b] == OPEN
-        a, b = a[keep], b[keep]
-        # {x, w} open, x an end of edge j with C[j] not empty and w ~ y, its
-        # other end: it closes if w is adjacent to some entry of row j
-        rows = size.nonzero()[0]
-        ends = np.concatenate([us[rows], vs[rows]])
-        mask = self._open_to_edge(us[rows], vs[rows])
-        side, w = np.divmod(mask.ravel().nonzero()[0], n)
-        j = rows[side % len(rows)]
-        cand = np.arange(len(w)).repeat(size[j])
-        hit = np.zeros(len(w), dtype=bool)
-        hit[cand[S[w[cand], c[_spans(stop[j] - size[j], size[j])]] == EDGE]] = True
-        x, w = ends[side[hit]], w[hit]
-        codes = np.concatenate([a * n + b, np.minimum(x, w) * n + np.maximum(x, w)])
-        if k > 1:
-            # two edges of the batch can close the same pair.  A stable
-            # sort, as advance already runs: the first call of np.unique or
-            # of the default sort adds 0.3-2 MB of resident memory
-            codes.sort(kind="stable")
-            codes = np.concatenate([codes[:1], codes[1:][codes[1:] != codes[:-1]]])
+        if 3 * len(c) > len(self._rows):
+            self._rows = np.empty((6 * len(c), n), dtype=np.uint8)
+        ends = (us[cj], vs[cj], c)
+        rows, code = status_code(self.S, ends, self._rows)
+        hits, one = rows[:len(c)].view(bool), rows[len(c):2 * len(c)].view(bool)
+        np.equal(code, _CLOSING[0], out=hits)
+        for value in _CLOSING[1:]:
+            hits |= np.equal(code, value, out=one)
+        at = hits.ravel().nonzero()[0]
+        e, w = np.divmod(at, n)
+        # the end at the OPEN digit of each hit's code
+        x = np.stack(ends)[_OPEN_DIGIT[code.ravel()[at]], e]
+        codes = np.minimum(x, w) * n + np.maximum(x, w)
+        # a pair can close through several triangles.  A stable sort, as
+        # advance already runs: the first call of np.unique or of the default
+        # sort adds 0.3-2 MB of resident memory
+        codes.sort(kind="stable")
+        codes = np.concatenate([codes[:1], codes[1:][codes[1:] != codes[:-1]]])
         return (*np.divmod(codes, n), 0)
 
     def advance(self, rng, max_steps: int | None = None) -> int:

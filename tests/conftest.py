@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from hfree.analysis import AlphaResult
-from hfree.process import CLOSED, EDGE, K3, OPEN, ProcessState, pair_codes
+from hfree.process import CLOSED, EDGE, K3, NO_PAIR, OPEN, ProcessState, pair_codes
 from hfree.trajectory import (Violation, k3_envelope, k3_eval, k4_centers,
                               k4_envelope)
 
@@ -30,6 +30,21 @@ def is_closed_probe(state, u, v):
         return len(common) > 0
     # K4: need two adjacent common neighbours
     return bool((S[np.ix_(common, common)] == EDGE).any())
+
+
+def k4_statuses_from_edges(n, edges):
+    """The n x n K4 pair statuses of the graph with the given (m, 2) edges,
+    from the edges alone: a non-edge is CLOSED iff its ends lie in
+    N(c) ∩ N(d) for some edge {c, d}, read from one float32 product of the
+    m x n common-neighbour indicator (exact, as its entries count edges)."""
+    edges = np.asarray(edges).reshape(-1, 2)
+    adj = np.zeros((n, n), dtype=bool)
+    adj[edges[:, 0], edges[:, 1]] = adj[edges[:, 1], edges[:, 0]] = True
+    common = (adj[edges[:, 0]] & adj[edges[:, 1]]).astype(np.float32)
+    closed = common.T @ common > 0
+    out = np.where(adj, EDGE, np.where(closed, CLOSED, OPEN)).astype(np.uint8)
+    np.fill_diagonal(out, NO_PAIR)
+    return out
 
 
 def adjacency_sets(S):

@@ -121,7 +121,8 @@ def test_write_graph6_from_run(tmp_path, rng):
     st = ProcessState(12, 3)
     st.advance(rng)
     path = tmp_path / "graphs.g6"
-    write_graph6(path, [(12, st.edge_log)])
+    with open(path, "w", encoding="utf-8") as fh:
+        write_graph6(fh, 12, st.edge_log)
     line = path.read_text().strip()
     n, edges = _decode_graph6(line)
     assert n == 12

@@ -26,6 +26,7 @@ from conftest import (
     drawn_codes,
     has_clique,
     is_closed_probe,
+    k4_statuses_from_edges,
     open_pairs,
     upper_codes,
 )
@@ -380,6 +381,21 @@ def test_k4_run_stops_at_pair_with_earlier_pair_inside_its_c():
         ref.add_edge(u, v)
     assert ref.status_of(0, 1) == CLOSED
     _assert_same_run(st, ref)
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize("n,cap", [(60, 25), (150, 100)])
+def test_k4_advance_matches_statuses_rebuilt_from_edges(n, cap, seed):
+    # batched runs, whose common neighbourhoods grow large, against an
+    # oracle that reads the edge log alone
+    st = ProcessState(n, K4)
+    rng = np.random.default_rng(seed)
+    upper = np.triu_indices(n, 1)
+    while st.open_count:
+        st.advance(rng, cap)
+        want = k4_statuses_from_edges(n, st.edge_log)
+        assert np.array_equal(st.status_matrix(), want)
+        assert st.open_count == np.count_nonzero(want[upper] == OPEN)
 
 
 def test_k4_advance_is_steps():

@@ -5,7 +5,8 @@
 Each run starts one fresh interpreter per side, alternating which side goes
 first, that imports hfree from that side's DIR (a checkout's `src`), builds
 the layer's seeded states untimed, and times the layer on each of them by
-process CPU time.  The interpreters run with one OpenBLAS thread, so that
+process CPU time, after one untimed throwaway case (the first case at
+n <= 400).  The interpreters run with one OpenBLAS thread, so that
 CPU time counts the layer's work and not the spin of idle BLAS threads.
 Prints one JSON line to stdout: the layer, its unit, the runs, and per case
 (n and t) each side's median, quartiles and range over the runs, and the
@@ -24,9 +25,9 @@ ratio of B's median to A's.  Layers:
                  (ms per call, median of 5 calls)
 
 t is steps over `trajectory.time_scale` (n^{3/2} for K3, n^{8/5} for K4);
-a run that ends earlier is measured at its end.  The K4 families are drawn
-by the harness's own `_draw_vertex_sets`.  --n replaces every case's n (a
-smoke test at tiny n).
+a run that ends earlier is measured at its end.  The families are drawn by
+the harness's own `_draw_pair_codes` and `_draw_vertex_sets`, which each
+side must have.  --n replaces every case's n (a smoke test at tiny n).
 Standard library only; the interpreters import numpy.
 """
 
@@ -47,25 +48,24 @@ CASES = {
     "exact-alpha": [(60, None)],
 }
 CALLS = 5  # snapshot calls per case and run; their median is the run's value
+WARM_N = 400  # largest n of the untimed throwaway case run first
 
 
 def measure(layer, n_override):
     """{case: value} for one side, in this interpreter (its hfree on sys.path)."""
     import numpy as np
     from hfree import analysis, harness, k4stats, ledger, trajectory
-    from hfree.process import EDGE, K3, K4, ProcessState, pair_codes
+    from hfree.process import EDGE, K3, K4, ProcessState
 
     rule = K4 if layer.startswith("k4") else K3
-    out = {}
-    for n, t in dict.fromkeys((n_override or n, t) for n, t in CASES[layer]):
+
+    def value(n, t):
         state = ProcessState(n, rule)
         rng = np.random.default_rng(1)
-        case = "n%d-end" % n if t is None else "n%d-t%g" % (n, t)
         if layer.endswith("advance"):
             c0 = time.process_time()
             steps = state.advance(rng)
-            out[case] = (time.process_time() - c0) / steps * 1e6
-            continue
+            return (time.process_time() - c0) / steps * 1e6
         state.advance(rng, None if t is None else round(t * trajectory.time_scale(rule, n)))
         family_rng = np.random.default_rng(2)
         S = state.status_matrix()
@@ -80,8 +80,7 @@ def measure(layer, n_override):
             def call():
                 analysis.independence_exact(adj)
         elif rule == K3:
-            k = min(200, state.npairs)
-            codes = pair_codes(n, np.sort(family_rng.choice(state.npairs, size=k, replace=False)))
+            codes = harness._draw_pair_codes(family_rng, n, 200)
             codes = codes[S.ravel()[codes] != EDGE]
 
             def call():
@@ -93,14 +92,20 @@ def measure(layer, n_override):
             def call():
                 k4stats.k4_witness_counts(S, pairs)
                 k4stats.k4_triple_counts(S, triples)
-        call()  # first call untimed: lazy set-up of numpy and BLAS
+        call()  # first call untimed: the case's own set-up
         times = []
         for _ in range(CALLS):
             c0 = time.process_time()
             call()
             times.append(time.process_time() - c0)
-        out[case] = statistics.median(times) * 1e3
-    return out
+        return statistics.median(times) * 1e3
+
+    cases = list(dict.fromkeys((n_override or n, t) for n, t in CASES[layer]))
+    # a throwaway first case: the first case of a fresh interpreter carries
+    # warm-up costs (lazy set-up of numpy and BLAS, the heap's first growth)
+    # that the later ones do not
+    value(min(cases[0][0], WARM_N), cases[0][1])
+    return {"n%d-end" % n if t is None else "n%d-t%g" % (n, t): value(n, t) for n, t in cases}
 
 
 def _spread(values):
