@@ -37,29 +37,26 @@ def k4_witness_counts(S: np.ndarray, pairs):
     With G the n x 3k indicator of the groups of every pair (`_ONE_HOT`),
     block j of G^T (S == OPEN) G counts the ordered open pairs (c, d)
     between groups i and l, which land at f = i + l; block j of
-    G^T (S == EDGE) G counts the edges, one f higher.  The products with S
-    run in float32, exact as every entry is an integer of at most n; the
-    3 x 3 blocks sum up to n^2 of them, past float32's exact integers for
-    n > 4096, so a float64 bincount over each vertex's group sums them."""
+    G^T (S == EDGE) G counts the edges, one f higher.  Exact: the float32
+    products hold integers of at most n, the float64 block sums at most n^2."""
     n = len(S)
     if n < 4:
         raise ValueError("need n >= 4")
     pairs = np.asarray(pairs, dtype=np.intp).reshape(-1, 2)
     pairs = pairs[S[pairs[:, 0], pairs[:, 1]] == OPEN]
     k = len(pairs)
+    if not k:
+        return pairs, np.zeros((0, 5), np.int64)
     _, code = status_code(S, pairs.T)
-    GT = np.take(_ONE_HOT, code, axis=1).reshape(3 * k, n)
-    # bin 4j + g: the vertices of group g of pair j, 4j + 3 those dropped
-    bins = (np.take(EDGES_INTO[2], code) + 4 * np.arange(k)[:, None]).ravel()
+    GT = np.take(_ONE_HOT, code, axis=1)  # 3 x k x n
     m = np.empty((n, n), dtype=np.float32)
     mg = np.empty((3 * k, n), dtype=np.float32)
     blocks = []
     for status in (OPEN, EDGE):
         # S is symmetric: row (l, j) of G^T m is column (j, l) of m G
-        np.matmul(GT, np.equal(S, status, out=m), out=mg)
-        block = np.stack([np.bincount(bins, weights=mg[l * k:(l + 1) * k].ravel(),
-                                      minlength=4 * k) for l in range(3)], axis=1)
-        blocks.append(block.reshape(k, 4, 3)[:, :3].reshape(k, 9) @ _FOLD)
+        np.matmul(GT.reshape(3 * k, n), np.equal(S, status, out=m), out=mg)
+        block = np.einsum("gjv,ljv->jgl", GT, mg.reshape(3, k, n), dtype=np.float64)
+        blocks.append(block.reshape(k, 9) @ _FOLD)
     x, edges = blocks
     # an edge B lands one f higher; at i = l = 2 it would close A, so the
     # f = 5 it drops is zero

@@ -317,7 +317,7 @@ def test_criterion_6_k3_concentration(report):
 def scaling_runs():
     cfg = harness.ExperimentConfig(process="K3", n_list=(500, 1000, 2000, 4000),
                                    trials=10, base_seed=7001, stop="full",
-                                   greedy_repeats=8)
+                                   greedy_repeats=8, workers=2)
     return harness.run_experiment(cfg)
 
 

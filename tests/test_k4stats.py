@@ -148,6 +148,20 @@ def test_family_equals_one_row_calls():
     assert live.shape == (0, 3) and y.shape == (0, 4)
 
 
+def test_no_live_pair():
+    # drawn pairs at the end of a K4 run, where no pair is open, and a family
+    # made only of edges: both return empty int64 counts
+    rng = np.random.default_rng(60)
+    st = ProcessState(60, 4)
+    st.advance(rng)
+    S = st.status_matrix()
+    drawn = np.sort([rng.choice(60, size=2, replace=False) for _ in range(50)], axis=1)
+    assert not st.open_count and (S[drawn[:, 0], drawn[:, 1]] == CLOSED).any()
+    for pairs in (drawn, st.edge_log):
+        live, x = k4_witness_counts(S, pairs)
+        assert live.shape == (0, 2) and x.shape == (0, 5) and x.dtype == np.int64
+
+
 @pytest.mark.parametrize("n", [60, 200])
 def test_counts_match_per_pair_oracle(n):
     # at every snapshot of a K4 run, with the harness's stride, family sizes
